@@ -15,16 +15,7 @@ import numpy as np
 from . import dataio
 from .config import ConfigError, apply_overrides, load_config
 from .pipeline import run_single
-from .sweep import (
-    DEFAULT_BANDWIDTH_VALUES,
-    DEFAULT_COUPLING_SERIES,
-    DEFAULT_COUPLING_VALUES,
-    DEFAULT_DETUNING_SERIES,
-    SweepPlan,
-    run_coupling_sweep,
-    run_detuning_sweep,
-    run_pump_bandwidth_sweep,
-)
+from .sweep import SWEEPS, SweepPlan, run_sweep
 
 OUT_DIR_ENV = "BIPHOTON_CAVITY_OUT_DIR"
 
@@ -112,42 +103,20 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _sweep_common(args, swept, default_values, series_param, default_series, runner) -> int:
+def _cmd_sweep(args) -> int:
     config = _load(args)
-    values = _parse_values(args.values) if args.values else default_values
-    series = _parse_values(args.series) if args.series else default_series
+    spec = SWEEPS[args.swept_parameter]
+    values = _parse_values(args.values) if args.values else spec.default_values
+    series = _parse_values(args.series) if args.series else spec.default_series
     plan = SweepPlan(
         base_config=config,
-        swept_parameter=swept,
+        swept_parameter=args.swept_parameter,
         values=values,
-        series_parameter=series_param if series is not None else None,
+        series_parameter=spec.series_parameter if series is not None else None,
         series_values=series if series is not None else (),
     )
-    result = runner(plan)
-    _emit(dataio.render_sweep(result), _resolve_out(args.out))
+    _emit(dataio.render_sweep(run_sweep(plan)), _resolve_out(args.out))
     return 0
-
-
-def _cmd_sweep_coupling(args) -> int:
-    return _sweep_common(
-        args, "coupling_ratio", DEFAULT_COUPLING_VALUES,
-        "cavity_detuning_nm", DEFAULT_DETUNING_SERIES, run_coupling_sweep,
-    )
-
-
-def _cmd_sweep_pump(args) -> int:
-    return _sweep_common(
-        args, "pump_bandwidth_nm", DEFAULT_BANDWIDTH_VALUES,
-        "coupling_ratio", DEFAULT_COUPLING_SERIES, run_pump_bandwidth_sweep,
-    )
-
-
-def _cmd_sweep_detuning(args) -> int:
-    # Without --series the base config's coupling ratio is the single series.
-    return _sweep_common(
-        args, "cavity_detuning_nm", DEFAULT_DETUNING_SERIES,
-        "coupling_ratio", None, run_detuning_sweep,
-    )
 
 
 def _cmd_ingest(args) -> int:
@@ -184,7 +153,6 @@ def build_parser() -> _Parser:
             "--cavity-override", action="append", default=[], metavar="KEY=VALUE",
             help="override a cavity.* config key (repeatable)",
         )
-        p.add_argument("--format", choices=["csv"], default="csv", help="output format")
         p.set_defaults(func=func)
         return p
 
@@ -195,12 +163,13 @@ def build_parser() -> _Parser:
     entropy.add_argument("--in", dest="source", default=None, metavar="FILE",
                          help="compute from an exported/measured JSI file instead")
     entropy.add_argument("--bits", action="store_true", help="print entropy in bits instead of nats")
-    for name, func, help_text in (
-        ("sweep-coupling", _cmd_sweep_coupling, "entropy vs coupling strength per detuning"),
-        ("sweep-pump", _cmd_sweep_pump, "entropy vs pump bandwidth per coupling"),
-        ("sweep-detuning", _cmd_sweep_detuning, "entropy vs cavity detuning"),
+    for name, swept, help_text in (
+        ("sweep-coupling", "coupling_ratio", "entropy vs coupling strength per detuning"),
+        ("sweep-pump", "pump_bandwidth_nm", "entropy vs pump bandwidth per coupling"),
+        ("sweep-detuning", "cavity_detuning_nm", "entropy vs cavity detuning"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, _cmd_sweep, help_text)
+        p.set_defaults(swept_parameter=swept)
         p.add_argument("--values", default=None, help="sweep values: start:stop:step or v1,v2,...")
         p.add_argument("--series", default=None, help="series values: v1,v2,...")
     ingest = add("ingest", _cmd_ingest, "validate a measured JSI file and report its entropy")

@@ -8,6 +8,7 @@ applied defaults are recorded on the returned config.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,6 +114,8 @@ def _parse_value(key: str, raw: str, kind: str, where: str):
             value = float(raw)
         except ValueError:
             raise fail(f"expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise fail(f"must be finite, got {raw!r}")
         if kind == "pos_float" and not value > 0.0:
             raise fail(f"must be positive, got {value!r}")
         if kind == "nonneg_float" and value < 0.0:

@@ -209,6 +209,9 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     idler_col = data[:, idx["idler_nm"]]
     intensity_col = data[:, idx["intensity"]]
 
+    non_finite = np.nonzero(~np.all(np.isfinite(data), axis=1))[0]
+    if non_finite.size:
+        raise ValueError(f"{path}:{line_numbers[int(non_finite[0])]}: non-finite data")
     negative = np.nonzero(intensity_col < 0.0)[0]
     if negative.size:
         k = int(negative[0])
@@ -223,6 +226,8 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     if len(rows) % n_idler != 0:
         raise ValueError(f"{path}: data is not a complete row-major grid")
     n_signal = len(rows) // n_idler
+    if n_signal < 2 or n_idler < 2:
+        raise ValueError(f"{path}: need at least 2 points per axis, got {n_signal} x {n_idler}")
     signal_axis = signal_col[::n_idler]
     idler_axis = idler_col[:n_idler]
     if not np.array_equal(np.repeat(signal_axis, n_idler), signal_col) or not np.array_equal(

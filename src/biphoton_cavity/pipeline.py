@@ -1,8 +1,7 @@
 """Glue from a SimConfig to grids, states, cavity models and entropies."""
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .cavity import CavityModel, TransferCurve, transfer_for
 from .config import SimConfig
@@ -36,34 +35,56 @@ def input_state_from_config(config: SimConfig, grid: FrequencyGrid | None = None
     return compose_input_state(pump, pm, signal, idler, grid)
 
 
-def cavity_model_from_config(config: SimConfig) -> CavityModel:
+def cavity_model_from_config(
+    config: SimConfig,
+    kind: str | None = None,
+    coupling_ratio: float | None = None,
+    detuning_nm: float | None = None,
+) -> CavityModel:
+    """The configured cavity, with optional kind and coupling_ratio overrides.
+
+    A detuning_nm places the cavity mode relative to the emitter line
+    (detuned_cavity_center_omega) instead of at cavity.center_nm.
+    """
     c = config.cavity
+    kind = c.kind if kind is None else kind
+    coupling_ratio = c.coupling_ratio if coupling_ratio is None else coupling_ratio
+    if detuning_nm is None:
+        omega_0 = omega_from_wavelength(c.center_nm)
+    else:
+        omega_0 = detuned_cavity_center_omega(c.emitter_nm, detuning_nm)
     gamma = 1.0 / c.lifetime_fs
     return CavityModel(
-        kind=c.kind,
-        omega_0=omega_from_wavelength(c.center_nm),
+        kind=kind,
+        omega_0=omega_0,
         gamma=gamma,
-        lambda_c=c.coupling_ratio * gamma if c.kind == "dicke" else 0.0,
-        omega_e=omega_from_wavelength(c.emitter_nm) if c.kind == "dicke" else None,
-        gamma_e=c.emitter_damping_ratio * gamma if c.kind == "dicke" else 0.0,
+        lambda_c=coupling_ratio * gamma if kind == "dicke" else 0.0,
+        omega_e=omega_from_wavelength(c.emitter_nm) if kind == "dicke" else None,
+        gamma_e=c.emitter_damping_ratio * gamma if kind == "dicke" else 0.0,
     )
-
-
-def transfer_from_config(config: SimConfig, grid: FrequencyGrid) -> TransferCurve:
-    return transfer_for(cavity_model_from_config(config), grid.idler_axis)
 
 
 @dataclass(frozen=True)
 class SingleRun:
-    """Input and transformed states for one configuration, with entropies."""
+    """Input and transformed states for one configuration.
+
+    The entropies are computed on first access, so runs that only export
+    states or curves do no Schmidt decomposition.
+    """
 
     config: SimConfig
     input_state: BiphotonAmplitude
     output_state: BiphotonAmplitude
     curve: TransferCurve
-    input_entropy: float
-    output_entropy: float
     flags: tuple[str, ...]
+
+    @cached_property
+    def input_entropy(self) -> float:
+        return entropy_of(self.input_state)
+
+    @cached_property
+    def output_entropy(self) -> float:
+        return entropy_of(self.output_state)
 
     @property
     def entropy_delta(self) -> float:
@@ -71,7 +92,7 @@ class SingleRun:
 
 
 def run_with_model(config: SimConfig, model: CavityModel) -> SingleRun:
-    """Compose the input state, apply the given cavity model, measure entropies."""
+    """Compose the input state and apply the given cavity model."""
     grid = grid_from_config(config)
     state = input_state_from_config(config, grid)
     curve = transfer_for(model, grid.idler_axis)
@@ -81,14 +102,12 @@ def run_with_model(config: SimConfig, model: CavityModel) -> SingleRun:
         input_state=state,
         output_state=output,
         curve=curve,
-        input_entropy=entropy_of(state),
-        output_entropy=entropy_of(output),
         flags=curve.flags,
     )
 
 
 def run_single(config: SimConfig) -> SingleRun:
-    """Compose the input state, apply the configured cavity, measure entropies."""
+    """Compose the input state and apply the configured cavity."""
     return run_with_model(config, cavity_model_from_config(config))
 
 

@@ -11,18 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityModel, transfer_for
+from .cavity import transfer_for
 from .config import SimConfig
-from .grid import omega_from_wavelength
-from .pipeline import (
-    detuned_cavity_center_omega,
-    grid_from_config,
-    input_state_from_config,
-)
+from .pipeline import cavity_model_from_config, grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
-
-SWEEP_PARAMETERS = ("coupling_ratio", "cavity_detuning_nm", "pump_bandwidth_nm")
 
 # Bracketing defaults: the resolved-polariton boundary sits at coupling
 # ratio 0.5, and the couplings of interest for the bandwidth comparison
@@ -31,6 +24,34 @@ DEFAULT_COUPLING_VALUES = tuple(np.round(np.arange(0.5, 3.0 + 1e-9, 0.05), 10))
 DEFAULT_DETUNING_SERIES = (-4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_BANDWIDTH_VALUES = tuple(np.round(np.arange(0.5, 10.0 + 1e-9, 0.25), 10))
 DEFAULT_COUPLING_SERIES = (0.75, 1.0, 1.35, 2.0)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """How a swept parameter enters each sweep point.
+
+    cavity_arg is the cavity_model_from_config override the parameter sets;
+    None means the parameter changes the config and so the input state.
+    default_series None means one series at the base value of
+    series_parameter.
+    """
+
+    cavity_arg: str | None
+    series_parameter: str
+    default_values: tuple[float, ...]
+    default_series: tuple[float, ...] | None
+
+
+SWEEPS = {
+    "coupling_ratio": SweepSpec(
+        "coupling_ratio", "cavity_detuning_nm", DEFAULT_COUPLING_VALUES, DEFAULT_DETUNING_SERIES
+    ),
+    "cavity_detuning_nm": SweepSpec("detuning_nm", "coupling_ratio", DEFAULT_DETUNING_SERIES, None),
+    "pump_bandwidth_nm": SweepSpec(
+        None, "coupling_ratio", DEFAULT_BANDWIDTH_VALUES, DEFAULT_COUPLING_SERIES
+    ),
+}
+SWEEP_PARAMETERS = tuple(SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -54,11 +75,11 @@ class SweepPlan:
         if self.swept_parameter in ("coupling_ratio", "pump_bandwidth_nm") and values[0] <= 0.0:
             raise ValueError(f"{self.swept_parameter} values must be positive")
         object.__setattr__(self, "values", values)
-        if self.series_parameter is not None:
-            if self.series_parameter not in SWEEP_PARAMETERS:
-                raise ValueError(f"unknown series parameter {self.series_parameter!r}")
-            if not self.series_values:
-                raise ValueError("series parameter given without series values")
+        series_parameter = SWEEPS[self.swept_parameter].series_parameter
+        if self.series_parameter not in (None, series_parameter):
+            raise ValueError(f"{self.swept_parameter} sweep series must be {series_parameter}")
+        if self.series_parameter is not None and not self.series_values:
+            raise ValueError("series parameter given without series values")
         object.__setattr__(self, "series_values", tuple(float(v) for v in self.series_values))
 
 
@@ -101,32 +122,66 @@ class Crossing:
     boundary: bool = False
 
 
-def _dicke_model(config: SimConfig, coupling_ratio: float, detuning_nm: float) -> CavityModel:
-    c = config.cavity
-    gamma = 1.0 / c.lifetime_fs
-    return CavityModel(
-        kind="dicke",
-        omega_0=detuned_cavity_center_omega(c.emitter_nm, detuning_nm),
-        gamma=gamma,
-        lambda_c=coupling_ratio * gamma,
-        omega_e=omega_from_wavelength(c.emitter_nm),
-        gamma_e=c.emitter_damping_ratio * gamma,
+def run_sweep(plan: SweepPlan) -> SweepResult:
+    """Entropy of the dicke-transformed state at every (series, sweep) point.
+
+    The base config must select a dicke cavity; the cavity mode sits at
+    cavity_detuning_nm (default 0) from the emitter line.  Each distinct
+    input state is composed once, and delta_vs_input is taken against the
+    point's own input state.  When the swept parameter changes the input
+    state, per-value input and empty-cavity reference rows are added.
+    """
+    spec = SWEEPS[plan.swept_parameter]
+    base = plan.base_config
+    if base.cavity.kind != "dicke":
+        raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base config")
+    series_arg = SWEEPS[spec.series_parameter].cavity_arg
+    cavity_args = {"coupling_ratio": base.cavity.coupling_ratio, "detuning_nm": 0.0}
+    series = plan.series_values if plan.series_parameter else (cavity_args[series_arg],)
+
+    grid = grid_from_config(base)
+    empty_curve = transfer_for(cavity_model_from_config(base, kind="two_sided"), grid.idler_axis)
+
+    def measure_input(config):
+        state = input_state_from_config(config, grid)
+        return state, entropy_of(state), entropy_of(apply_idler_transfer(state, empty_curve))
+
+    base_state, input_entropy, empty_entropy = measure_input(base)
+    rows = []
+    reference_rows = []
+    for value in plan.values:
+        state, s_in = base_state, input_entropy
+        if spec.cavity_arg is not None:
+            cavity_args[spec.cavity_arg] = value
+        else:
+            config = dataclasses.replace(
+                base, pump=dataclasses.replace(base.pump, bandwidth_nm=value)
+            )
+            state, s_in, s_empty = measure_input(config)
+            reference_rows.append(ReferenceRow("input", value, s_in))
+            reference_rows.append(ReferenceRow("empty_cavity", value, s_empty))
+        for series_value in series:
+            cavity_args[series_arg] = series_value
+            model = cavity_model_from_config(base, kind="dicke", **cavity_args)
+            curve = transfer_for(model, grid.idler_axis)
+            entropy = entropy_of(apply_idler_transfer(state, curve))
+            rows.append(
+                SweepRow(
+                    series_value=series_value,
+                    sweep_value=value,
+                    entropy=entropy,
+                    delta_vs_input=entropy - s_in,
+                    flags=curve.flags,
+                )
+            )
+    rows.sort(key=lambda r: (r.series_value, r.sweep_value))
+    return SweepResult(
+        plan=plan,
+        rows=tuple(rows),
+        input_entropy=input_entropy,
+        empty_cavity_entropy=empty_entropy,
+        reference_rows=tuple(reference_rows),
     )
-
-
-def _empty_model(config: SimConfig) -> CavityModel:
-    c = config.cavity
-    return CavityModel(
-        kind="two_sided",
-        omega_0=omega_from_wavelength(c.center_nm),
-        gamma=1.0 / c.lifetime_fs,
-    )
-
-
-def _reference_entropies(config: SimConfig, state) -> tuple[float, float]:
-    grid = grid_from_config(config)
-    empty_curve = transfer_for(_empty_model(config), grid.idler_axis)
-    return entropy_of(state), entropy_of(apply_idler_transfer(state, empty_curve))
 
 
 def run_coupling_sweep(plan: SweepPlan) -> SweepResult:
@@ -137,76 +192,14 @@ def run_coupling_sweep(plan: SweepPlan) -> SweepResult:
     """
     if plan.swept_parameter != "coupling_ratio":
         raise ValueError("plan does not sweep coupling_ratio")
-    if plan.base_config.cavity.kind != "dicke":
-        raise ValueError("coupling sweep requires a dicke cavity in the base config")
-    series = plan.series_values if plan.series_parameter else (0.0,)
-    if plan.series_parameter not in (None, "cavity_detuning_nm"):
-        raise ValueError("coupling sweep series must be cavity_detuning_nm")
-
-    config = plan.base_config
-    grid = grid_from_config(config)
-    state = input_state_from_config(config, grid)
-    input_entropy, empty_entropy = _reference_entropies(config, state)
-
-    rows = []
-    for detuning in series:
-        for ratio in plan.values:
-            model = _dicke_model(config, ratio, detuning)
-            curve = transfer_for(model, grid.idler_axis)
-            entropy = entropy_of(apply_idler_transfer(state, curve))
-            rows.append(
-                SweepRow(
-                    series_value=detuning,
-                    sweep_value=ratio,
-                    entropy=entropy,
-                    delta_vs_input=entropy - input_entropy,
-                    flags=curve.flags,
-                )
-            )
-    return SweepResult(
-        plan=plan,
-        rows=tuple(rows),
-        input_entropy=input_entropy,
-        empty_cavity_entropy=empty_entropy,
-    )
+    return run_sweep(plan)
 
 
 def run_detuning_sweep(plan: SweepPlan) -> SweepResult:
     """Entropy per cavity detuning at fixed coupling; emitter stays put."""
     if plan.swept_parameter != "cavity_detuning_nm":
         raise ValueError("plan does not sweep cavity_detuning_nm")
-    if plan.base_config.cavity.kind != "dicke":
-        raise ValueError("detuning sweep requires a dicke cavity in the base config")
-    series = plan.series_values if plan.series_parameter else (plan.base_config.cavity.coupling_ratio,)
-    if plan.series_parameter not in (None, "coupling_ratio"):
-        raise ValueError("detuning sweep series must be coupling_ratio")
-
-    config = plan.base_config
-    grid = grid_from_config(config)
-    state = input_state_from_config(config, grid)
-    input_entropy, empty_entropy = _reference_entropies(config, state)
-
-    rows = []
-    for ratio in series:
-        for detuning in plan.values:
-            model = _dicke_model(config, ratio, detuning)
-            curve = transfer_for(model, grid.idler_axis)
-            entropy = entropy_of(apply_idler_transfer(state, curve))
-            rows.append(
-                SweepRow(
-                    series_value=ratio,
-                    sweep_value=detuning,
-                    entropy=entropy,
-                    delta_vs_input=entropy - input_entropy,
-                    flags=curve.flags,
-                )
-            )
-    return SweepResult(
-        plan=plan,
-        rows=tuple(rows),
-        input_entropy=input_entropy,
-        empty_cavity_entropy=empty_entropy,
-    )
+    return run_sweep(plan)
 
 
 def run_pump_bandwidth_sweep(plan: SweepPlan) -> SweepResult:
@@ -214,51 +207,7 @@ def run_pump_bandwidth_sweep(plan: SweepPlan) -> SweepResult:
     input-state and empty-cavity reference rows over the same values."""
     if plan.swept_parameter != "pump_bandwidth_nm":
         raise ValueError("plan does not sweep pump_bandwidth_nm")
-    if plan.series_parameter not in (None, "coupling_ratio"):
-        raise ValueError("pump bandwidth sweep series must be coupling_ratio")
-    base = plan.base_config
-    if base.cavity.kind != "dicke":
-        raise ValueError("pump bandwidth sweep requires a dicke cavity in the base config")
-    series = plan.series_values if plan.series_parameter else (base.cavity.coupling_ratio,)
-
-    grid = grid_from_config(base)
-    empty_curve = transfer_for(_empty_model(base), grid.idler_axis)
-
-    rows = []
-    reference_rows = []
-    for bandwidth in plan.values:
-        config = dataclasses.replace(
-            base, pump=dataclasses.replace(base.pump, bandwidth_nm=bandwidth)
-        )
-        state = input_state_from_config(config, grid)
-        s_in = entropy_of(state)
-        s_empty = entropy_of(apply_idler_transfer(state, empty_curve))
-        reference_rows.append(ReferenceRow("input", bandwidth, s_in))
-        reference_rows.append(ReferenceRow("empty_cavity", bandwidth, s_empty))
-        for ratio in series:
-            model = _dicke_model(config, ratio, 0.0)
-            curve = transfer_for(model, grid.idler_axis)
-            entropy = entropy_of(apply_idler_transfer(state, curve))
-            rows.append(
-                SweepRow(
-                    series_value=ratio,
-                    sweep_value=bandwidth,
-                    entropy=entropy,
-                    delta_vs_input=entropy - s_in,
-                    flags=curve.flags,
-                )
-            )
-    rows.sort(key=lambda r: (r.series_value, r.sweep_value))
-
-    base_state = input_state_from_config(base, grid)
-    input_entropy, empty_entropy = _reference_entropies(base, base_state)
-    return SweepResult(
-        plan=plan,
-        rows=tuple(rows),
-        input_entropy=input_entropy,
-        empty_cavity_entropy=empty_entropy,
-        reference_rows=tuple(reference_rows),
-    )
+    return run_sweep(plan)
 
 
 def find_entropy_crossing(result: SweepResult, series_value: float) -> Crossing | None:

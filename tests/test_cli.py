@@ -137,6 +137,16 @@ class TestSweepCommands:
         rows = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 5
 
+    def test_negative_values_need_equals_form(self, tmp_path):
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text("grid.points = 48\ncavity.kind = dicke\n")
+        out_file = tmp_path / "det.csv"
+        assert main(["sweep-detuning", "--config", str(cfg), "--out", str(out_file),
+                     "--values=-2:2:2", "--series=0.75"]) == 0
+        rows = [l.split(",") for l in out_file.read_text().splitlines() if not l.startswith("#")]
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            ("coupling_ratio", "0.75", v) for v in ("-2", "0", "2")]
+
     def test_bad_values_spec(self, config_path, capsys):
         assert main(["sweep-coupling", "--config", config_path, "--values", "a:b"]) == 1
 
@@ -153,10 +163,33 @@ class TestIngestCommand:
         assert "intensity-only lower-fidelity" in out
         assert "entropy_nats" in out
 
-    def test_ingest_rejects_bad_file(self, config_path, tmp_path):
+    def test_ingest_rejects_bad_file(self, config_path, tmp_path, capsys):
         bad = tmp_path / "m.csv"
-        bad.write_text("700,700,-1\n700,690,1\n690,700,1\n690,690,1\n")
-        assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1
+        for text in (
+            "700,700,-1\n700,690,1\n690,700,1\n690,690,1\n",
+            "700,700,1\n",
+            "700,700,nan,0,1\n700,690,1,0,1\n690,700,1,0,1\n690,690,1,0,1\n",
+        ):
+            bad.write_text(text)
+            assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(bad) in err
+
+
+class TestLazyEntropy:
+    def test_state_and_transmit_run_no_svd(self, config_path, tmp_path, monkeypatch):
+        import biphoton_cavity.schmidt as schmidt
+
+        calls = []
+        decompose = schmidt.schmidt_decompose
+        monkeypatch.setattr(schmidt, "schmidt_decompose",
+                            lambda state: calls.append(state) or decompose(state))
+        assert main(["state", "--config", config_path, "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["transmit", "--config", config_path, "--out", str(tmp_path / "t.csv"),
+                     "--curve-out", str(tmp_path / "c.csv")]) == 0
+        assert calls == []
+        assert main(["entropy", "--config", config_path, "--out", str(tmp_path / "e.txt")]) == 0
+        assert len(calls) == 1
 
 
 class TestOutDirEnv:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -63,8 +64,18 @@ class TestParsing:
             parse_config_text("cavity.coupling_ratio = -1\n")
 
     def test_bad_number_names_key(self):
-        with pytest.raises(ConfigError, match=r"grid\.points"):
-            parse_config_text("grid.points = many\n")
+        for key, raw in (
+            ("grid.points", "many"),
+            ("cavity.coupling_ratio", "nan"),
+            ("cavity.emitter_damping_ratio", "nan"),
+            ("cavity.lifetime_fs", "inf"),
+            ("grid.span_nm", "nan"),
+            ("cavity.coupling_ratio", "inf"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(repr(key))):
+                parse_config_text(f"{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=r"cavity\.coupling_ratio.*finite"):
+            apply_overrides(parse_config_text(""), ["coupling_ratio=nan"])
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,24 @@ class TestIngestValidation:
         )
         with pytest.raises(ValueError, match="all zero"):
             ingest_measured_jsi(path)
+
+    def test_single_point_axis_names_file(self, tmp_path):
+        for name, text in (("one.csv", "700,700,1\n"), ("column.csv", "700,700,1\n690,700,1\n")):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(name) + ".*at least 2"):
+                ingest_measured_jsi(path)
+
+    def test_non_finite_names_line(self, tmp_path):
+        rows = ["700,700,1,0,1", "700,690,1,0,1", "690,700,1,0,1", "690,690,1,0,1"]
+        for cell in (2, 3, 4):
+            bad = rows[2].split(",")
+            bad[cell] = "nan"
+            path = tmp_path / "bad.csv"
+            path.write_text("# columns: signal_nm,idler_nm,re,im,intensity\n"
+                            + "\n".join(rows[:2] + [",".join(bad)] + rows[3:]) + "\n")
+            with pytest.raises(ValueError, match=r"bad\.csv:4:.*non-finite"):
+                ingest_measured_jsi(path)
 
     def test_non_numeric_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,7 +14,9 @@ from biphoton_cavity import (
     run_pump_bandwidth_sweep,
     run_single,
     run_with_model,
+    transfer_for,
 )
+from biphoton_cavity.pipeline import cavity_model_from_config
 from biphoton_cavity.sweep import SweepResult, SweepRow
 
 SMALL = """
@@ -126,6 +128,13 @@ class TestDetuningSweep:
         emitter_omega = omega_from_wavelength(config.cavity.emitter_nm)
         # detuned runs differ from each other but share the emitter zero
         assert result.rows[0].entropy != result.rows[1].entropy
+        around = emitter_omega + np.array([-1e-9, 0.0, 1e-9])
+        for detuning in plan.values:
+            model = cavity_model_from_config(config, kind="dicke", detuning_nm=detuning)
+            assert model.omega_e == emitter_omega
+            transmission = transfer_for(model, around).transmission
+            assert transmission[1] == 0.0
+            assert np.all(transmission < 1e-10)
 
 
 class TestPumpBandwidthSweep:
@@ -154,6 +163,59 @@ class TestPumpBandwidthSweep:
         assert all(b < a for a, b in zip(inputs, inputs[1:]))
 
 
+class TestSweepTable:
+    """Sweep rows against run_with_model with hand-built cavity models."""
+
+    @staticmethod
+    def dicke(config, ratio, detuning_nm):
+        gamma = 1.0 / config.cavity.lifetime_fs
+        emitter = omega_from_wavelength(config.cavity.emitter_nm)
+        return CavityModel(
+            kind="dicke",
+            omega_0=emitter + detuning_nm * emitter / config.cavity.emitter_nm,
+            gamma=gamma,
+            lambda_c=ratio * gamma,
+            omega_e=emitter,
+        )
+
+    def check_row(self, row, config, ratio, detuning_nm):
+        direct = run_with_model(config, self.dicke(config, ratio, detuning_nm))
+        assert row.entropy == pytest.approx(direct.output_entropy, abs=1e-12)
+        assert row.delta_vs_input == pytest.approx(direct.entropy_delta, abs=1e-12)
+        return direct
+
+    def test_detuned_points(self):
+        config = small_config()
+        result = run_detuning_sweep(SweepPlan(
+            config, "cavity_detuning_nm", (-2.5, 3.0),
+            series_parameter="coupling_ratio", series_values=(1.5,)))
+        for row in result.rows:
+            self.check_row(row, config, 1.5, row.sweep_value)
+        result = run_coupling_sweep(SweepPlan(
+            config, "coupling_ratio", (0.8,),
+            series_parameter="cavity_detuning_nm", series_values=(2.5,)))
+        self.check_row(result.rows[0], config, 0.8, 2.5)
+        assert result.reference_rows == ()
+
+    def test_pump_bandwidth_points_use_their_own_input(self):
+        config = small_config()
+        result = run_pump_bandwidth_sweep(SweepPlan(
+            config, "pump_bandwidth_nm", (3.0, 9.0),
+            series_parameter="coupling_ratio", series_values=(2.0,)))
+        inputs = {r.sweep_value: r.entropy for r in result.reference_rows if r.kind == "input"}
+        for row in result.rows:
+            point = dataclasses.replace(
+                config, pump=dataclasses.replace(config.pump, bandwidth_nm=row.sweep_value))
+            direct = self.check_row(row, point, 2.0, 0.0)
+            assert inputs[row.sweep_value] == pytest.approx(direct.input_entropy, abs=1e-12)
+        assert result.input_entropy == pytest.approx(run_single(config).input_entropy, abs=1e-12)
+
+    def test_series_must_match_table(self):
+        with pytest.raises(ValueError, match="series must be coupling_ratio"):
+            SweepPlan(small_config(), "pump_bandwidth_nm", (1.0,),
+                      series_parameter="cavity_detuning_nm", series_values=(0.0,))
+
+
 class TestCrossing:
     def test_crossing_found_in_real_sweep(self):
         plan = SweepPlan(small_config(), "coupling_ratio",
@@ -180,7 +242,6 @@ class TestCrossing:
     def test_boundary_flag_when_all_above(self):
         plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0),
                          series_parameter="cavity_detuning_nm", series_values=(0.0,))
-        base = run_coupling_sweep(plan)
         rows = tuple(
             SweepRow(series_value=0.0, sweep_value=v, entropy=1.0, delta_vs_input=0.5)
             for v in (1.0, 2.0)
