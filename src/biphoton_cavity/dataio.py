@@ -63,18 +63,15 @@ def write_lines(path, lines: list[str]) -> None:
 def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> list[str]:
     lines = _header_lines(JSI_FORMAT, config)
     lines.append("# columns: signal_nm,idler_nm,re,im,intensity")
-    signal_nm = wavelength_from_omega(state.grid.signal_axis)
-    idler_nm = wavelength_from_omega(state.grid.idler_axis)
-    amp = state.amplitude
-    for i in range(state.grid.n_signal):
-        s_nm = _fmt(signal_nm[i])
-        row = amp[i]
-        for j in range(state.grid.n_idler):
-            z = row[j]
-            lines.append(
-                f"{s_nm},{_fmt(idler_nm[j])},{_fmt(z.real)},{_fmt(z.imag)},"
-                f"{_fmt(z.real * z.real + z.imag * z.imag)}"
-            )
+    signal_nm = [_fmt(x) for x in wavelength_from_omega(state.grid.signal_axis)]
+    idler_nm = [_fmt(x) for x in wavelength_from_omega(state.grid.idler_axis)]
+    # One row at a time: a whole-array .tolist() would hold every cell as a
+    # Python float next to the rendered lines.
+    for s_nm, row in zip(signal_nm, state.amplitude):
+        lines.extend(
+            f"{s_nm},{i_nm},{re:.9g},{im:.9g},{re * re + im * im:.9g}"
+            for i_nm, re, im in zip(idler_nm, row.real.tolist(), row.imag.tolist())
+        )
     return lines
 
 
@@ -158,12 +155,19 @@ class MeasuredJsi:
             raise ValueError("intensity map is all zero")
 
 
-def _parse_data_rows(path):
+def _read_data_lines(path):
+    """Stripped data lines, their 1-based line numbers, and the `# columns:` header.
+
+    Blank lines are skipped.  Bytes that are not UTF-8 are reported with
+    their line; universal newlines apply, as for any text file.
+    """
     columns = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
+    lines, line_numbers = [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
+            if not line.isascii() and not _is_utf8(line):
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text")
             if not line:
                 continue
             if line.startswith("#"):
@@ -171,12 +175,34 @@ def _parse_data_rows(path):
                 if body.startswith("columns:"):
                     columns = [c.strip() for c in body[len("columns:"):].split(",")]
                 continue
-            parts = line.split(",")
-            try:
-                rows.append(([float(p) for p in parts], lineno))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric data {line!r}") from None
-    return columns, rows
+            lines.append(line)
+            line_numbers.append(lineno)
+    return columns, lines, line_numbers
+
+
+def _is_utf8(text: str) -> bool:
+    # surrogateescape decodes each invalid byte to a lone surrogate, which
+    # cannot be encoded back.
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _parse_rows(path, lines, line_numbers) -> list[list[float]]:
+    """Cell-by-cell float() parse: the diagnostic path when np.loadtxt refuses.
+
+    float() accepts a superset of np.loadtxt (underscores, non-ASCII digits),
+    so a file the fast path rejects still parses exactly as it always did.
+    """
+    rows = []
+    for line, lineno in zip(lines, line_numbers):
+        try:
+            rows.append([float(p) for p in line.split(",")])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric data {line!r}") from None
+    return rows
 
 
 def ingest_measured_jsi(path) -> MeasuredJsi:
@@ -185,26 +211,32 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     Validation failures name the offending file line and cell coordinates.
     """
     path = Path(path)
-    columns, rows = _parse_data_rows(path)
-    if not rows:
+    columns, lines, line_numbers = _read_data_lines(path)
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0][0])
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        rows = None
+    except ValueError:
+        rows = _parse_rows(path, lines, line_numbers)
+    # np.loadtxt only returns rectangular data, so its one width stands for every row.
+    widths = [data.shape[1]] if rows is None else [len(values) for values in rows]
     if columns is None:
         columns = (
             ["signal_nm", "idler_nm", "re", "im", "intensity"]
-            if width == 5
+            if widths[0] == 5
             else ["signal_nm", "idler_nm", "intensity"]
         )
     for name in ("signal_nm", "idler_nm", "intensity"):
         if name not in columns:
             raise ValueError(f"{path}: missing required column {name!r}")
     idx = {name: columns.index(name) for name in columns}
-    for values, lineno in rows:
-        if len(values) != len(columns):
-            raise ValueError(f"{path}:{lineno}: expected {len(columns)} columns, got {len(values)}")
+    for width, lineno in zip(widths, line_numbers):
+        if width != len(columns):
+            raise ValueError(f"{path}:{lineno}: expected {len(columns)} columns, got {width}")
+    if rows is not None:
+        data = np.array(rows)
 
-    data = np.array([values for values, _ in rows])
-    line_numbers = [lineno for _, lineno in rows]
     signal_col = data[:, idx["signal_nm"]]
     idler_col = data[:, idx["idler_nm"]]
     intensity_col = data[:, idx["intensity"]]
@@ -221,11 +253,11 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
         )
 
     n_idler = 1
-    while n_idler < len(rows) and signal_col[n_idler] == signal_col[0]:
+    while n_idler < len(data) and signal_col[n_idler] == signal_col[0]:
         n_idler += 1
-    if len(rows) % n_idler != 0:
+    if len(data) % n_idler != 0:
         raise ValueError(f"{path}: data is not a complete row-major grid")
-    n_signal = len(rows) // n_idler
+    n_signal = len(data) // n_idler
     if n_signal < 2 or n_idler < 2:
         raise ValueError(f"{path}: need at least 2 points per axis, got {n_signal} x {n_idler}")
     signal_axis = signal_col[::n_idler]

@@ -165,15 +165,35 @@ class TestIngestCommand:
 
     def test_ingest_rejects_bad_file(self, config_path, tmp_path, capsys):
         bad = tmp_path / "m.csv"
-        for text in (
-            "700,700,-1\n700,690,1\n690,700,1\n690,690,1\n",
-            "700,700,1\n",
-            "700,700,nan,0,1\n700,690,1,0,1\n690,700,1,0,1\n690,690,1,0,1\n",
+        for data, where in (
+            (b"700,700,-1\n700,690,1\n690,700,1\n690,690,1\n", ":1: "),
+            (b"700,700,1\n", ": "),
+            (b"700,700,nan,0,1\n700,690,1,0,1\n690,700,1,0,1\n690,690,1,0,1\n", ":1: "),
+            (b"# columns: signal_nm,idler_nm,intensity\n700,700,\xff\n", ":2: "),
         ):
-            bad.write_text(text)
+            bad.write_bytes(data)
             assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and str(bad) in err
+            assert err.count("\n") == 1 and f"{bad}{where}" in err
+
+
+    def test_jsiv1_files_never_reach_the_fallback_parser(self, config_path, tmp_path,
+                                                        monkeypatch):
+        from biphoton_cavity import dataio
+
+        calls = []
+        parse_rows = dataio._parse_rows
+        monkeypatch.setattr(dataio, "_parse_rows", lambda *a: calls.append(a) or parse_rows(*a))
+        for command in ("state", "transmit"):
+            data = tmp_path / f"{command}.csv"
+            assert main([command, "--config", config_path, "--out", str(data)]) == 0
+            assert main(["ingest", "--config", config_path, "--in", str(data)]) == 0
+            assert main(["entropy", "--config", config_path, "--in", str(data)]) == 0
+        assert calls == []
+        odd = tmp_path / "odd.csv"  # float() reads 1_0; np.loadtxt does not
+        odd.write_text("700,700,1_0\n700,690,1\n690,700,1\n690,690,1\n")
+        assert main(["ingest", "--config", config_path, "--in", str(odd)]) == 0
+        assert len(calls) == 1
 
 
 class TestLazyEntropy:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from biphoton_cavity import (
+    BiphotonAmplitude,
     CavityModel,
+    FrequencyGrid,
     SweepPlan,
     export_curve,
     export_jsi,
@@ -18,7 +20,9 @@ from biphoton_cavity import (
     parse_config_text,
     run_coupling_sweep,
     run_single,
+    wavelength_from_omega,
 )
+from biphoton_cavity import dataio
 from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_jsi, render_sweep
 from biphoton_cavity.schmidt import entropy_of
 from test_sweep import small_config
@@ -42,8 +46,6 @@ class TestJsiRoundTrip:
         export_jsi(state, path)
         measured = ingest_measured_jsi(path)
         # exported in nm, decreasing along increasing omega
-        from biphoton_cavity import wavelength_from_omega
-
         np.testing.assert_allclose(
             measured.signal_nm, wavelength_from_omega(state.grid.signal_axis), rtol=1e-8
         )
@@ -74,6 +76,140 @@ class TestJsiRoundTrip:
         export_jsi(state, a)
         export_jsi(state, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _awkward_floats(rng, size):
+    """Random doubles over ~600 decades, with signed zeros, subnormals and the extremes."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+    specials = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1e300]
+    values[rng.choice(size, len(specials), replace=False)] = specials
+    return values
+
+
+class TestRenderJsi:
+    def test_every_line_matches_per_cell_format(self):
+        rng = np.random.default_rng(11)
+        grid = FrequencyGrid(np.linspace(2.70, 2.80, 7), np.linspace(2.65, 2.85, 5))
+        amp = np.empty((7, 5), dtype=complex)
+        amp.real = _awkward_floats(rng, 35).reshape(7, 5)
+        amp.imag = _awkward_floats(rng, 35).reshape(7, 5)
+        amp.imag[0] = -0.0
+        amp[1, 1] = complex(1e-310, -3e-320)
+        state = BiphotonAmplitude(grid, amp)
+
+        def fmt(x):
+            return format(float(x), ".9g")
+
+        signal_nm = wavelength_from_omega(grid.signal_axis)
+        idler_nm = wavelength_from_omega(grid.idler_axis)
+        expected = []
+        for i in range(7):
+            for j in range(5):
+                re_, im_ = float(state.amplitude[i, j].real), float(state.amplitude[i, j].imag)
+                cells = (signal_nm[i], idler_nm[j], re_, im_, re_ * re_ + im_ * im_)
+                expected.append(",".join(fmt(x) for x in cells))
+        lines = render_jsi(state)
+        assert lines[:2] == ["# format: jsiv1", "# columns: signal_nm,idler_nm,re,im,intensity"]
+        assert lines[2:] == expected
+        assert any(",-0," in line for line in lines)  # signed zero survives
+
+
+def _refuse_loadtxt(*args, **kwargs):
+    raise ValueError("np.loadtxt disabled")
+
+
+def _ingest_outcome(path):
+    try:
+        measured = ingest_measured_jsi(path)
+    except ValueError as exc:
+        return str(exc)
+    return {name: None if getattr(measured, name) is None else getattr(measured, name).tobytes()
+            for name in ("signal_nm", "idler_nm", "intensity", "amplitude")}
+
+
+def _both_paths(path, monkeypatch):
+    """Ingest outcome (arrays as bytes, or the message) via np.loadtxt and via the fallback."""
+    fast = _ingest_outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", _refuse_loadtxt)
+        slow = _ingest_outcome(path)
+    return fast, slow
+
+
+class TestIngestParserEquivalence:
+    """np.loadtxt fast path and the line-by-line float() fallback agree bit for bit."""
+
+    def test_random_grids_bit_identical(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        formats = (repr, lambda x: format(x, ".17e"), lambda x: format(x, ".9g"),
+                   lambda x: format(x, ".6E"))
+        fallbacks = []
+        parse_rows = dataio._parse_rows
+        monkeypatch.setattr(dataio, "_parse_rows", lambda *a: fallbacks.append(a) or parse_rows(*a))
+        for trial in range(6):
+            n_signal, n_idler = rng.integers(3, 9, size=2)
+            signal = np.sort(rng.uniform(600.0, 800.0, n_signal))[::-1]
+            idler = np.sort(rng.uniform(1e-300, 3e-300, n_idler))
+            cells = np.column_stack([
+                np.repeat(signal, n_idler), np.tile(idler, n_signal),
+                _awkward_floats(rng, n_signal * n_idler), _awkward_floats(rng, n_signal * n_idler),
+                np.abs(_awkward_floats(rng, n_signal * n_idler)),
+            ])
+            cells[rng.integers(cells.shape[0]), 4] = -0.0
+            # axes in the lossless formats only, so they stay strictly monotone
+            text = [[formats[k](float(x)) for x, k in zip(row, rng.integers(0, [2, 2, 4, 4, 4]))]
+                    for row in cells]
+            expected = np.array([[float(t) for t in row] for row in text])
+            path = tmp_path / f"grid{trial}.csv"
+            path.write_text("# columns: signal_nm,idler_nm,re,im,intensity\n"
+                            + "".join(",".join(row) + "\n" for row in text))
+            fast, slow = _both_paths(path, monkeypatch)
+            assert fast == slow
+            assert fast["intensity"] == expected[:, 4].tobytes()
+            assert fast["amplitude"] == (expected[:, 2] + 1j * expected[:, 3]).tobytes()
+            assert fast["signal_nm"] == expected[::n_idler, 0].tobytes()
+            assert fast["idler_nm"] == expected[:n_idler, 1].tobytes()
+            assert len(fallbacks) == trial + 1  # only the forced run fell back
+
+    GRID = ["# columns: signal_nm,idler_nm,intensity", "700,700,1", "700,690,2",
+            "690,700,3", "690,690,4"]
+
+    @pytest.mark.parametrize("case, edit, expected", [
+        ("underscore", {2: "700,690,1_0"}, [1.0, 10.0, 3.0, 4.0]),
+        ("arabic-indic digits", {3: "690,700,١٢"}, [1.0, 2.0, 12.0, 4.0]),
+        ("padded cells", {1: "700 , 700,\t1 "}, [1.0, 2.0, 3.0, 4.0]),
+        ("trailing note", {2: "700,690,2 # note"}, ":3: non-numeric data '700,690,2 # note'"),
+        ("ragged row", {3: "690,700"}, ":4: expected 3 columns, got 2"),
+        ("empty cell", {2: "700,,2"}, ":3: non-numeric data '700,,2'"),
+    ])
+    def test_inputs_loadtxt_treats_differently(self, tmp_path, monkeypatch, case, edit, expected):
+        lines = [edit.get(k, line) for k, line in enumerate(self.GRID)]
+        path = tmp_path / "edge.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fast, slow = _both_paths(path, monkeypatch)
+        assert fast == slow
+        if isinstance(expected, str):
+            assert fast == f"{path}{expected}"
+        else:
+            assert fast["intensity"] == np.array(expected).tobytes()
+
+    def test_blank_lines_and_crlf_parse_like_plain_lines(self, tmp_path, monkeypatch):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\n".join(self.GRID) + "\n")
+        reference = _ingest_outcome(plain)
+        for name, text in (
+            ("blank.csv", "\n\n".join(self.GRID[:3]) + "\n \t\n" + "\n".join(self.GRID[3:]) + "\n\n"),
+            ("crlf.csv", "\r\n".join(self.GRID) + "\r\n"),
+        ):
+            path = tmp_path / name
+            path.write_bytes(text.encode())
+            assert _both_paths(path, monkeypatch) == (reference, reference)
+        # line numbers still count the blank lines
+        path = tmp_path / "blank.csv"
+        path.write_bytes(("\n\n".join(self.GRID[:3]) + "\n\n690,700,-3\n").encode())
+        fast, slow = _both_paths(path, monkeypatch)
+        assert fast == slow and fast.startswith(f"{path}:7: negative intensity")
 
 
 class TestCurveExport:
@@ -189,11 +325,31 @@ class TestIngestValidation:
             with pytest.raises(ValueError, match=r"bad\.csv:4:.*non-finite"):
                 ingest_measured_jsi(path)
 
+    def test_column_count_names_first_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# columns: signal_nm,idler_nm,re,im,intensity\n\n"
+                        "700,700,1\n700,690,1\n690,700,1\n690,690,1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 columns, got 3"):
+            ingest_measured_jsi(path)
+
     def test_non_numeric_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("700,700,abc\n")
         with pytest.raises(ValueError, match=":1:"):
             ingest_measured_jsi(path)
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        head = b"# columns: signal_nm,idler_nm,intensity\n700,700,1\n700,690,1\n"
+        for body, lineno in (
+            (head + b"690,700,\xff\n690,690,1\n", 4),
+            (b"# r\xe9sum\xe9 in Latin-1\n" + head, 1),
+            (head.replace(b"\n", b"\r\n") + b"690,7\xc3(0,1\r\n690,690,1\r\n", 4),
+            (head + b"690,700,1\n690,690,1\n# trailer \xed\xa0\x80\n", 6),
+        ):
+            path.write_bytes(body)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: .*UTF-8"):
+                ingest_measured_jsi(path)
 
 
 class TestMeasuredIntensityOnly:
