@@ -40,7 +40,7 @@ def _resolve_out(path: str | None) -> str | None:
 
 def _emit(lines, out_path):
     if out_path is None:
-        sys.stdout.write("\n".join(lines) + "\n")
+        dataio._write_chunked(sys.stdout, lines)
     else:
         dataio.write_lines(out_path, lines)
         print(f"wrote {out_path}", file=sys.stderr)

@@ -16,6 +16,11 @@ from .cavity import CAVITY_KINDS
 from .state import PM_KINDS, PUMP_CONVENTIONS
 
 
+# grid.points is rejected when one n x n complex128 array (16 n^2 bytes) would
+# exceed this, i.e. above 8192 points; the pipeline holds several such arrays.
+MAX_GRID_ARRAY_BYTES = 1 << 30
+
+
 class ConfigError(ValueError):
     """Invalid configuration file or value; carries the offending key."""
 
@@ -128,6 +133,10 @@ def _parse_value(key: str, raw: str, kind: str, where: str):
             raise fail(f"expected an integer, got {raw!r}") from None
         if value < 2:
             raise fail("grid needs at least 2 points")
+        array_bytes = 16 * value * value
+        if array_bytes > MAX_GRID_ARRAY_BYTES:
+            raise fail(f"one {value}x{value} complex grid array needs {array_bytes} bytes, "
+                       f"over the {MAX_GRID_ARRAY_BYTES}-byte limit")
         return value
     if kind == "pump_convention":
         if raw not in PUMP_CONVENTIONS:

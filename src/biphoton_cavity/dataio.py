@@ -4,11 +4,14 @@ Files are comma-separated UTF-8 with LF line endings and a '#'-prefixed
 header carrying the format version, a full config echo, and the column
 schema.  Numbers are printed with 9 significant digits.  Writes go to a
 temporary file and are renamed into place, so failed exports leave nothing
-behind.
+behind.  Exports are written, and ingested files read, in bounded chunks.
 """
 
+import itertools
 import os
 import tempfile
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +30,9 @@ SWEEP_FORMAT = "sweepv1"
 
 INTENSITY_ONLY_FLAG = "intensity-only lower-fidelity"
 
+# Lines joined per write() call when streaming an export.
+_CHUNK_LINES = 4096
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
@@ -42,15 +48,21 @@ def _header_lines(format_name: str, config: SimConfig | None, extra=()) -> list[
     return lines
 
 
-def write_lines(path, lines: list[str]) -> None:
+def _write_chunked(handle, lines: Iterable[str]) -> None:
+    """Write each line followed by a newline, `_CHUNK_LINES` lines per write() call."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        handle.write("\n".join(chunk) + "\n")
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
     path = Path(path)
     if path.parent and not path.parent.is_dir():
         raise OSError(f"output directory does not exist: {path.parent}")
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines))
-            handle.write("\n")
+            _write_chunked(handle, lines)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -60,19 +72,19 @@ def write_lines(path, lines: list[str]) -> None:
         raise
 
 
-def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> list[str]:
-    lines = _header_lines(JSI_FORMAT, config)
-    lines.append("# columns: signal_nm,idler_nm,re,im,intensity")
+def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> Iterator[str]:
+    """The jsiv1 lines of `state`, generated lazily: a 512x512 grid is 262k lines."""
+    yield from _header_lines(JSI_FORMAT, config)
+    yield "# columns: signal_nm,idler_nm,re,im,intensity"
     signal_nm = [_fmt(x) for x in wavelength_from_omega(state.grid.signal_axis)]
     idler_nm = [_fmt(x) for x in wavelength_from_omega(state.grid.idler_axis)]
     # One row at a time: a whole-array .tolist() would hold every cell as a
     # Python float next to the rendered lines.
     for s_nm, row in zip(signal_nm, state.amplitude):
-        lines.extend(
+        yield from (
             f"{s_nm},{i_nm},{re:.9g},{im:.9g},{re * re + im * im:.9g}"
             for i_nm, re, im in zip(idler_nm, row.real.tolist(), row.imag.tolist())
         )
-    return lines
 
 
 def export_jsi(state: BiphotonAmplitude, path, config: SimConfig | None = None) -> None:
@@ -155,14 +167,13 @@ class MeasuredJsi:
             raise ValueError("intensity map is all zero")
 
 
-def _read_data_lines(path):
-    """Stripped data lines, their 1-based line numbers, and the `# columns:` header.
+def _read_data_lines(path, line_numbers: array, columns: list[str]) -> Iterator[str]:
+    """Yield the stripped data lines; append their 1-based line numbers to
+    `line_numbers` and set `columns` from the `# columns:` header.
 
     Blank lines are skipped.  Bytes that are not UTF-8 are reported with
     their line; universal newlines apply, as for any text file.
     """
-    columns = None
-    lines, line_numbers = [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -173,11 +184,10 @@ def _read_data_lines(path):
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if body.startswith("columns:"):
-                    columns = [c.strip() for c in body[len("columns:"):].split(",")]
+                    columns[:] = [c.strip() for c in body[len("columns:"):].split(",")]
                 continue
-            lines.append(line)
             line_numbers.append(lineno)
-    return columns, lines, line_numbers
+            yield line
 
 
 def _is_utf8(text: str) -> bool:
@@ -211,17 +221,22 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     Validation failures name the offending file line and cell coordinates.
     """
     path = Path(path)
-    columns, lines, line_numbers = _read_data_lines(path)
-    if not lines:
+    line_numbers, columns = array("q"), []
+    lines = _read_data_lines(path, line_numbers, columns)
+    first = next(lines, None)  # np.loadtxt only warns on empty input
+    if first is None:
         raise ValueError(f"{path}: no data rows")
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
         rows = None
     except ValueError:
+        # Re-read in full, so a non-UTF-8 line is reported before any bad cell.
+        line_numbers, columns = array("q"), []
+        lines = list(_read_data_lines(path, line_numbers, columns))
         rows = _parse_rows(path, lines, line_numbers)
     # np.loadtxt only returns rectangular data, so its one width stands for every row.
     widths = [data.shape[1]] if rows is None else [len(values) for values in rows]
-    if columns is None:
+    if not columns:
         columns = (
             ["signal_nm", "idler_nm", "re", "im", "intensity"]
             if widths[0] == 5
@@ -270,12 +285,15 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     amplitude = None
     if "re" in idx and "im" in idx:
         amplitude = (data[:, idx["re"]] + 1j * data[:, idx["im"]]).reshape(n_signal, n_idler)
-    return MeasuredJsi(
-        signal_nm=signal_axis,
-        idler_nm=idler_axis,
-        intensity=intensity_col.reshape(n_signal, n_idler),
-        amplitude=amplitude,
-    )
+    try:
+        return MeasuredJsi(
+            signal_nm=signal_axis,
+            idler_nm=idler_axis,
+            intensity=intensity_col.reshape(n_signal, n_idler),
+            amplitude=amplitude,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def measured_entropy(measured: MeasuredJsi) -> tuple[float, tuple[str, ...]]:

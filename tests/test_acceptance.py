@@ -414,7 +414,7 @@ class TestCriterion10NumericalStability:
         measured = ingest_measured_jsi(path)
         round_trip_ok = np.allclose(measured.intensity, jsi_of(state), rtol=1e-8, atol=1e-300)
 
-        byte_ok = render_jsi(state) == render_jsi(reference_state(points=256))
+        byte_ok = list(render_jsi(state)) == list(render_jsi(reference_state(points=256)))
         path2 = tmp_path / "jsi2.csv"
         export_jsi(state, path2)
         byte_ok = byte_ok and path.read_bytes() == path2.read_bytes()

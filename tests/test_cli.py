@@ -61,10 +61,16 @@ class TestStateCommand:
         measured = ingest_measured_jsi(out_file)
         assert measured.intensity.shape == (64, 64)
 
-    def test_stdout_when_no_out(self, config_path, capsys):
+    def test_stdout_when_no_out(self, config_path, tmp_path, capsysbinary):
+        from biphoton_cavity import dataio
+
         assert main(["state", "--config", config_path]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# format: jsiv1")
+        out = capsysbinary.readouterr().out
+        assert out.startswith(b"# format: jsiv1")
+        assert out.count(b"\n") > dataio._CHUNK_LINES  # crosses a chunk boundary
+        out_file = tmp_path / "state.csv"
+        assert main(["state", "--config", config_path, "--out", str(out_file)]) == 0
+        assert out == out_file.read_bytes()
 
 
 class TestOverrides:
@@ -170,6 +176,9 @@ class TestIngestCommand:
             (b"700,700,1\n", ": "),
             (b"700,700,nan,0,1\n700,690,1,0,1\n690,700,1,0,1\n690,690,1,0,1\n", ":1: "),
             (b"# columns: signal_nm,idler_nm,intensity\n700,700,\xff\n", ":2: "),
+            (b"700,700,0\n700,690,0\n690,700,0\n690,690,0\n", ": "),  # all zero
+            # idler axis 700, 710, 705: not monotone
+            (b"700,700,1\n700,710,1\n700,705,1\n690,700,1\n690,710,1\n690,705,1\n", ": "),
         ):
             bad.write_bytes(data)
             assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1

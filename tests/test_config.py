@@ -1,10 +1,11 @@
 import dataclasses
+import math
 import re
 
 import pytest
 
 from biphoton_cavity import ConfigError, load_config, parse_config_text
-from biphoton_cavity.config import apply_overrides
+from biphoton_cavity.config import MAX_GRID_ARRAY_BYTES, apply_overrides
 
 REFERENCE_TEXT = """
 grid.center_nm = 685
@@ -76,6 +77,15 @@ class TestParsing:
                 parse_config_text(f"{key} = {raw}\n")
         with pytest.raises(ConfigError, match=r"cavity\.coupling_ratio.*finite"):
             apply_overrides(parse_config_text(""), ["coupling_ratio=nan"])
+
+    def test_grid_points_memory_guard(self):
+        # parse only: no grid of these sizes is ever built
+        largest = math.isqrt(MAX_GRID_ARRAY_BYTES // 16)
+        assert parse_config_text(f"grid.points = {largest}\n").grid.points == largest == 8192
+        assert parse_config_text("grid.points = 2048\n").grid.points == 2048
+        for points in (largest + 1, 200000):
+            with pytest.raises(ConfigError, match=rf"'grid\.points'.*{16 * points * points} bytes"):
+                parse_config_text(f"grid.points = {points}\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestRenderJsi:
                 re_, im_ = float(state.amplitude[i, j].real), float(state.amplitude[i, j].imag)
                 cells = (signal_nm[i], idler_nm[j], re_, im_, re_ * re_ + im_ * im_)
                 expected.append(",".join(fmt(x) for x in cells))
-        lines = render_jsi(state)
+        lines = list(render_jsi(state))
         assert lines[:2] == ["# format: jsiv1", "# columns: signal_nm,idler_nm,re,im,intensity"]
         assert lines[2:] == expected
         assert any(",-0," in line for line in lines)  # signed zero survives
@@ -270,6 +271,45 @@ class TestAtomicWrites:
         assert names == ["out.csv"]
 
 
+def _traced_peak(func):
+    """Peak memory func() allocates through Python's allocators, above where it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        func()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """jsiv1 export and ingest hold a bounded number of lines, never the whole file."""
+
+    @pytest.fixture(scope="class")
+    def reference_export(self, tmp_path_factory):
+        state = make_input_state(points=512)
+        path = tmp_path_factory.mktemp("streaming") / "jsi.csv"
+        return path, _traced_peak(lambda: export_jsi(state, path))
+
+    def test_export_peak_below_quarter_of_file(self, reference_export):
+        path, peak = reference_export
+        assert peak < path.stat().st_size / 4
+
+    def test_ingest_peak_below_twice_the_table(self, reference_export):
+        path, _ = reference_export
+        table_bytes = 512 * 512 * 5 * 8  # rows x columns x float64
+        # the lower bound shows that the traced allocations include numpy's
+        assert table_bytes < _traced_peak(lambda: ingest_measured_jsi(path)) < 2 * table_bytes
+
+    @pytest.mark.parametrize("count", [1, dataio._CHUNK_LINES, 2 * dataio._CHUNK_LINES + 1])
+    def test_chunked_write_matches_one_join(self, tmp_path, count):
+        lines = [f"line {k}" for k in range(count)]
+        path = tmp_path / "out.txt"
+        dataio.write_lines(path, iter(lines))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 class TestIngestValidation:
     def test_negative_intensity_names_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -285,8 +325,9 @@ class TestIngestValidation:
         path.write_text(
             "# columns: signal_nm,idler_nm,intensity\n"
             "700,700,1.0\n700,710,2.0\n700,705,0.5\n"
+            "690,700,1.0\n690,710,2.0\n690,705,0.5\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: idler_nm axis must be strictly")):
             ingest_measured_jsi(path)
 
     def test_incomplete_grid_rejected(self, tmp_path):
@@ -304,7 +345,7 @@ class TestIngestValidation:
             "# columns: signal_nm,idler_nm,intensity\n"
             "700,700,0\n700,690,0\n690,700,0\n690,690,0\n"
         )
-        with pytest.raises(ValueError, match="all zero"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: intensity map is all zero")):
             ingest_measured_jsi(path)
 
     def test_single_point_axis_names_file(self, tmp_path):
