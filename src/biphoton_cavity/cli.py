@@ -19,6 +19,9 @@ from .sweep import SWEEPS, SweepPlan, run_sweep
 
 OUT_DIR_ENV = "BIPHOTON_CAVITY_OUT_DIR"
 
+# Most points a --values or --series range may expand to.
+MAX_SWEEP_POINTS = 10_000
+
 
 class _UsageError(Exception):
     pass
@@ -51,19 +54,23 @@ def _load(args):
     return apply_overrides(config, args.cavity_override, where="--cavity-override")
 
 
-def _parse_values(spec: str) -> tuple[float, ...]:
+def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"expected start:stop:step, got {spec!r}")
+            raise ConfigError(f"{flag}: expected start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0.0 or stop < start:
-            raise ConfigError(f"bad range {spec!r}")
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+            raise ConfigError(f"{flag}: bad range {spec!r}")
+        points = (stop + step / 2.0 - start) / step  # np.arange's length, before it allocates
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigError(f"{flag}: range {spec!r} would give {points:.3g} points; "
+                              f"the limit is {MAX_SWEEP_POINTS}")
         return tuple(np.round(np.arange(start, stop + step / 2.0, step), 12))
     try:
         return tuple(float(p) for p in spec.split(","))
     except ValueError:
-        raise ConfigError(f"expected numbers, got {spec!r}") from None
+        raise ConfigError(f"{flag}: expected numbers, got {spec!r}") from None
 
 
 def _cmd_state(args) -> int:
@@ -106,8 +113,8 @@ def _cmd_entropy(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args)
     spec = SWEEPS[args.swept_parameter]
-    values = _parse_values(args.values) if args.values else spec.default_values
-    series = _parse_values(args.series) if args.series else spec.default_series
+    values = _parse_values(args.values, "--values") if args.values else spec.default_values
+    series = _parse_values(args.series, "--series") if args.series else spec.default_series
     plan = SweepPlan(
         base_config=config,
         swept_parameter=args.swept_parameter,

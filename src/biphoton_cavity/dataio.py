@@ -2,7 +2,8 @@
 
 Files are comma-separated UTF-8 with LF line endings and a '#'-prefixed
 header carrying the format version, a full config echo, and the column
-schema.  Numbers are printed with 9 significant digits.  Writes go to a
+schema.  Numbers are printed as format(x, ".9g") prints them; bulk columns
+go through a numpy block formatter with the same output.  Writes go to a
 temporary file and are renamed into place, so failed exports leave nothing
 behind.  Exports are written, and ingested files read, in bounded chunks.
 """
@@ -33,6 +34,10 @@ INTENSITY_ONLY_FLAG = "intensity-only lower-fidelity"
 # Lines joined per write() call when streaming an export.
 _CHUNK_LINES = 4096
 
+# Grid cells formatted per block by render_jsi: a block's text and
+# temporaries take about 1 kB a cell, and 2048 is as fast as 4096.
+_BLOCK_CELLS = 2048
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
@@ -61,6 +66,10 @@ def write_lines(path, lines: Iterable[str]) -> None:
         raise OSError(f"output directory does not exist: {path.parent}")
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             _write_chunked(handle, lines)
         os.replace(tmp_name, path)
@@ -74,16 +83,22 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> Iterator[str]:
     """The jsiv1 lines of `state`, generated lazily: a 512x512 grid is 262k lines."""
+    # Imported on first use: commands that export no data never compile it.
+    from ._blockfmt import csv_lines, format_block
+
     yield from _header_lines(JSI_FORMAT, config)
     yield "# columns: signal_nm,idler_nm,re,im,intensity"
-    signal_nm = [_fmt(x) for x in wavelength_from_omega(state.grid.signal_axis)]
-    idler_nm = [_fmt(x) for x in wavelength_from_omega(state.grid.idler_axis)]
-    # One row at a time: a whole-array .tolist() would hold every cell as a
-    # Python float next to the rendered lines.
-    for s_nm, row in zip(signal_nm, state.amplitude):
-        yield from (
-            f"{s_nm},{i_nm},{re:.9g},{im:.9g},{re * re + im * im:.9g}"
-            for i_nm, re, im in zip(idler_nm, row.real.tolist(), row.imag.tolist())
+    signal_nm = format_block(wavelength_from_omega(state.grid.signal_axis))
+    idler_nm = format_block(wavelength_from_omega(state.grid.idler_axis))
+    amplitude, n_idler = state.amplitude.ravel(), state.grid.n_idler
+    for start in range(0, amplitude.size, _BLOCK_CELLS):
+        block = amplitude[start : start + _BLOCK_CELLS]
+        row, col = np.divmod(np.arange(start, start + block.size), n_idler)
+        with np.errstate(over="ignore"):
+            intensity = block.real * block.real + block.imag * block.imag
+        yield from csv_lines(
+            np.take(signal_nm, row, axis=0), np.take(idler_nm, col, axis=0),
+            format_block(block.real), format_block(block.imag), format_block(intensity),
         )
 
 
@@ -92,17 +107,14 @@ def export_jsi(state: BiphotonAmplitude, path, config: SimConfig | None = None) 
 
 
 def render_curve(curve: TransferCurve, config: SimConfig | None = None) -> list[str]:
+    from ._blockfmt import csv_lines, format_block
+
     extra = [f"flags: {';'.join(curve.flags)}"] if curve.flags else []
     lines = _header_lines(CURVE_FORMAT, config, extra)
     lines.append("# columns: wavelength_nm,re,im,transmission,phase_rad")
-    nm = wavelength_from_omega(curve.axis)
-    for j in range(curve.axis.size):
-        z = curve.values[j]
-        lines.append(
-            f"{_fmt(nm[j])},{_fmt(z.real)},{_fmt(z.imag)},"
-            f"{_fmt(curve.transmission[j])},{_fmt(curve.phase[j])}"
-        )
-    return lines
+    columns = (wavelength_from_omega(curve.axis), curve.values.real, curve.values.imag,
+               curve.transmission, curve.phase)
+    return lines + csv_lines(*map(format_block, columns))
 
 
 def export_curve(curve: TransferCurve, path, config: SimConfig | None = None) -> None:
@@ -167,6 +179,16 @@ class MeasuredJsi:
             raise ValueError("intensity map is all zero")
 
 
+def _skip_line(line: str, columns: list[str]) -> bool:
+    """Whether a stripped line is blank or a comment; `# columns:` sets `columns`."""
+    if line.startswith("#"):
+        body = line.lstrip("#").strip()
+        if body.startswith("columns:"):
+            columns[:] = [c.strip() for c in body[len("columns:"):].split(",")]
+        return True
+    return not line
+
+
 def _read_data_lines(path, line_numbers: array, columns: list[str]) -> Iterator[str]:
     """Yield the stripped data lines; append their 1-based line numbers to
     `line_numbers` and set `columns` from the `# columns:` header.
@@ -179,15 +201,36 @@ def _read_data_lines(path, line_numbers: array, columns: list[str]) -> Iterator[
             line = raw.strip()
             if not line.isascii() and not _is_utf8(line):
                 raise ValueError(f"{path}:{lineno}: not UTF-8 text")
+            if not _skip_line(line, columns):
+                line_numbers.append(lineno)
+                yield line
+
+
+def _line_numbers(path) -> array:
+    """The file line of each data row: error messages after a fast parse need them."""
+    line_numbers = array("q")
+    for _ in _read_data_lines(path, line_numbers, []):
+        pass
+    return line_numbers
+
+
+def _load_table(path, columns: list[str]) -> np.ndarray | None:
+    """The data rows as np.loadtxt parses them from the open file; None without data.
+
+    The header is read line by line and sets `columns`; np.loadtxt then reads
+    the file from the first data line on.  A comment or whitespace-only line
+    among the data, or bytes that are not UTF-8, raise ValueError.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        while True:
+            start = handle.tell()
+            line = handle.readline()
             if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("columns:"):
-                    columns[:] = [c.strip() for c in body[len("columns:"):].split(",")]
-                continue
-            line_numbers.append(lineno)
-            yield line
+                return None
+            if not _skip_line(line.strip(), columns):
+                break
+        handle.seek(start)
+        return np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
 
 
 def _is_utf8(text: str) -> bool:
@@ -221,19 +264,24 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     Validation failures name the offending file line and cell coordinates.
     """
     path = Path(path)
-    line_numbers, columns = array("q"), []
-    lines = _read_data_lines(path, line_numbers, columns)
-    first = next(lines, None)  # np.loadtxt only warns on empty input
-    if first is None:
-        raise ValueError(f"{path}: no data rows")
+    columns: list[str] = []
+    line_numbers, rows = None, None
     try:
-        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
-        rows = None
-    except ValueError:
+        data = _load_table(path, columns)
+    except ValueError:  # UnicodeDecodeError included
+        data = None
+    if data is None:
         # Re-read in full, so a non-UTF-8 line is reported before any bad cell.
         line_numbers, columns = array("q"), []
         lines = list(_read_data_lines(path, line_numbers, columns))
+        if not lines:
+            raise ValueError(f"{path}: no data rows")
         rows = _parse_rows(path, lines, line_numbers)
+
+    def line_of(row: int) -> int:
+        # The fast path keeps no line numbers; only an error message needs them.
+        return (line_numbers or _line_numbers(path))[row]
+
     # np.loadtxt only returns rectangular data, so its one width stands for every row.
     widths = [data.shape[1]] if rows is None else [len(values) for values in rows]
     if not columns:
@@ -246,9 +294,10 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
         if name not in columns:
             raise ValueError(f"{path}: missing required column {name!r}")
     idx = {name: columns.index(name) for name in columns}
-    for width, lineno in zip(widths, line_numbers):
+    for row, width in enumerate(widths):
         if width != len(columns):
-            raise ValueError(f"{path}:{lineno}: expected {len(columns)} columns, got {width}")
+            raise ValueError(
+                f"{path}:{line_of(row)}: expected {len(columns)} columns, got {width}")
     if rows is not None:
         data = np.array(rows)
 
@@ -258,12 +307,12 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
 
     non_finite = np.nonzero(~np.all(np.isfinite(data), axis=1))[0]
     if non_finite.size:
-        raise ValueError(f"{path}:{line_numbers[int(non_finite[0])]}: non-finite data")
+        raise ValueError(f"{path}:{line_of(int(non_finite[0]))}: non-finite data")
     negative = np.nonzero(intensity_col < 0.0)[0]
     if negative.size:
         k = int(negative[0])
         raise ValueError(
-            f"{path}:{line_numbers[k]}: negative intensity at cell "
+            f"{path}:{line_of(k)}: negative intensity at cell "
             f"(signal_nm={signal_col[k]:g}, idler_nm={idler_col[k]:g})"
         )
 

@@ -3,10 +3,12 @@
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .cavity import CavityModel, TransferCurve, transfer_for
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .grid import FrequencyGrid, build_grid, omega_from_wavelength
-from .schmidt import entropy_of
+from .schmidt import entropy_of, state_norm
 from .state import (
     BiphotonAmplitude,
     FilterSpec,
@@ -14,6 +16,9 @@ from .state import (
     PumpSpec,
     apply_idler_transfer,
     compose_input_state,
+    detection_filter_profile,
+    phase_matching_envelope,
+    pump_envelope,
 )
 
 
@@ -32,7 +37,32 @@ def input_state_from_config(config: SimConfig, grid: FrequencyGrid | None = None
     pm = PhaseMatchingSpec(kind=config.phase_matching.kind, width_nm=config.phase_matching.width_nm)
     signal = FilterSpec(config.signal_filter.center_nm, config.signal_filter.fwhm_nm)
     idler = FilterSpec(config.idler_filter.center_nm, config.idler_filter.fwhm_nm)
-    return compose_input_state(pump, pm, signal, idler, grid)
+    state = compose_input_state(pump, pm, signal, idler, grid)
+    if state_norm(state) == 0.0:  # normalize() would fail, without naming a cause
+        raise ConfigError(_zero_state_message(pump, pm, signal, idler, grid))
+    return state
+
+
+def _zero_state_message(pump, pm, signal, idler, grid: FrequencyGrid) -> str:
+    """Name the factor, and its config key, of an input state whose |F|^2 underflows."""
+    factors = (
+        ("pump envelope", "pump.center_down_nm", pump_envelope(pump, grid).amplitude),
+        ("phase-matching envelope", "phase_matching.width_nm",
+         phase_matching_envelope(pm, grid).amplitude),
+        ("signal filter", "filters.signal.center_nm",
+         detection_filter_profile(signal, grid.signal_axis)),
+        ("idler filter", "filters.idler.center_nm",
+         detection_filter_profile(idler, grid.idler_axis)),
+    )
+    for name, key, values in factors:
+        if float(np.max(np.abs(values))) ** 2 == 0.0:
+            reason = f"the {name} vanishes on the whole grid; check {key}"
+            break
+    else:
+        reason = ("its pump, phase-matching and filter factors do not overlap on the grid; "
+                  "check pump.bandwidth_nm and the filters.* keys")
+    return (f"input state is zero on every grid point: {reason} "
+            "against grid.center_nm and grid.span_nm")
 
 
 def cavity_model_from_config(

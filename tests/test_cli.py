@@ -107,6 +107,22 @@ class TestErrorPaths:
         bad.write_text("grid.points = -3\n")
         assert main(["entropy", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("setting, factor, key", [
+        ("filters.signal.center_nm = 900", "signal filter", "filters.signal.center_nm"),
+        ("filters.idler.center_nm = 500", "idler filter", "filters.idler.center_nm"),
+        ("pump.center_down_nm = 900", "pump envelope", "pump.center_down_nm"),
+        ("filters.signal.center_nm = 668\nfilters.signal.fwhm_nm = 0.5\n"
+         "filters.idler.center_nm = 668\nfilters.idler.fwhm_nm = 0.5\npump.bandwidth_nm = 0.5",
+         "do not overlap", "pump.bandwidth_nm"),
+    ])
+    def test_all_zero_input_names_factor_and_key(self, tmp_path, capsys, setting, factor, key):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SMALL_CFG + setting + "\n")
+        for command in ("entropy", "state"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and factor in err and key in err
+
     def test_unwritable_out_is_io_error(self, config_path, tmp_path, capsys):
         target = tmp_path / "no" / "dir" / "x.csv"
         assert main(["state", "--config", config_path, "--out", str(target)]) == 2
@@ -155,6 +171,31 @@ class TestSweepCommands:
 
     def test_bad_values_spec(self, config_path, capsys):
         assert main(["sweep-coupling", "--config", config_path, "--values", "a:b"]) == 1
+
+    @pytest.mark.parametrize("flag, spec", [
+        ("--values", "0.5:1e8:1e-9"),
+        ("--series", "0:1e300:1e-300"),
+        ("--values", "0:1:0.0000999"),
+        ("--values", "-1e308:1e308:1"),
+        ("--series", "0:inf:1"),
+        ("--values", "nan:1:0.1"),
+        ("--values", "0:1:inf"),
+    ])
+    def test_huge_or_non_finite_range_refused_before_allocating(self, config_path, capsys,
+                                                               monkeypatch, flag, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.arange called")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        assert main(["sweep-coupling", "--config", config_path, f"{flag}={spec}"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
+
+    def test_range_at_the_point_limit_is_accepted(self):
+        from biphoton_cavity.cli import MAX_SWEEP_POINTS, _parse_values
+
+        values = _parse_values(f"1:{MAX_SWEEP_POINTS}:1", "--values")
+        assert len(values) == MAX_SWEEP_POINTS and values[-1] == MAX_SWEEP_POINTS
 
 
 class TestIngestCommand:

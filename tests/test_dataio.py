@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton_cavity import (
     BiphotonAmplitude,
@@ -23,8 +25,9 @@ from biphoton_cavity import (
     run_single,
     wavelength_from_omega,
 )
-from biphoton_cavity import dataio
-from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_jsi, render_sweep
+from biphoton_cavity import _blockfmt, dataio
+from biphoton_cavity.config import load_config
+from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_curve, render_jsi, render_sweep
 from biphoton_cavity.schmidt import entropy_of
 from test_sweep import small_config
 from conftest import make_input_state
@@ -114,6 +117,61 @@ class TestRenderJsi:
         assert lines[:2] == ["# format: jsiv1", "# columns: signal_nm,idler_nm,re,im,intensity"]
         assert lines[2:] == expected
         assert any(",-0," in line for line in lines)  # signed zero survives
+
+
+def _block_texts(values):
+    """The texts format_block writes for `values`, with the padding dropped."""
+    cells = _blockfmt.format_block(np.asarray(values, dtype=float)).view(np.uint8)
+    return [bytes(cell[cell != 0]).decode("ascii") for cell in cells]
+
+
+def _adversarial_floats():
+    values = []
+    for exp10 in range(-20, 21):  # exact 9-digit half-way decimals and their neighbours
+        for digits in ("123456789", "100000000", "999999999", "500000000", "314159265"):
+            x = float(f"{digits}.5e{exp10 - 8}")
+            values += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    values += [float(f"1e{k}") for k in range(-300, 301)]
+    values += [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.8e308, 9.99999999e-5, 1e-4,
+               99999999.95, 999999999.5]
+    return values + [-x for x in values]
+
+
+class TestFormatBlock:
+    """The block formatter against its oracle, format(x, ".9g")."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_matches_format_on_any_floats(self, values):
+        assert _block_texts(values) == [format(x, ".9g") for x in values]
+
+    def test_matches_format_on_adversarial_values(self):
+        values = _adversarial_floats()
+        assert _block_texts(values) == [format(float(x), ".9g") for x in values]
+
+    def test_curve_lines_match_per_cell_format(self):
+        curve = one_sided_transfer(CavityModel(kind="one_sided", omega_0=2.75, gamma=0.01),
+                                   np.linspace(2.7, 2.8, 37))
+        nm = wavelength_from_omega(curve.axis)
+        expected = [",".join(format(float(x), ".9g") for x in (
+            nm[j], curve.values[j].real, curve.values[j].imag, curve.transmission[j],
+            curve.phase[j])) for j in range(37)]
+        assert render_curve(curve)[-37:] == expected
+
+    def test_reference_fallback_counts(self, monkeypatch):
+        """How many cells of the reference state and transmit exports format one by one."""
+        calls = []
+        format_one = _blockfmt._format_one
+        monkeypatch.setattr(_blockfmt, "_format_one", lambda x: calls.append(x) or format_one(x))
+        run = run_single(load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                                  "configs", "reference.cfg")))
+        counts = []
+        for state in (run.input_state, run.output_state):
+            calls.clear()
+            for _ in render_jsi(state):
+                pass
+            counts.append(len(calls))
+        assert counts == [0, 2]  # of 786,432 cells each
 
 
 def _refuse_loadtxt(*args, **kwargs):
@@ -212,6 +270,50 @@ class TestIngestParserEquivalence:
         fast, slow = _both_paths(path, monkeypatch)
         assert fast == slow and fast.startswith(f"{path}:7: negative intensity")
 
+    @pytest.mark.parametrize("case, body, expected", [
+        ("blank lines", b"700,700,1\n\n\n700,690,2\n690,700,3\n\n690,690,4\n", [1, 2, 3, 4]),
+        ("whitespace-only line", b"700,700,1\n \t\n700,690,2\n690,700,3\n690,690,4\n",
+         [1, 2, 3, 4]),
+        ("comment among data", b"700,700,1\n700,690,2\n# note\n690,700,3\n690,690,4\n",
+         [1, 2, 3, 4]),
+        ("columns comment among data",
+         b"700,700,1\n# columns: idler_nm,signal_nm,intensity\n700,690,2\n690,700,3\n"
+         b"690,690,4\n", ": need at least 2 points per axis, got 4 x 1"),
+        ("CRLF", b"700,700,1\r\n700,690,2\r\n\r\n690,700,3\r\n690,690,4\r\n", [1, 2, 3, 4]),
+        ("non-UTF-8 data", b"700,700,1\n700,690,2\n690,700,\xe93\n690,690,4\n",
+         ":5: not UTF-8 text"),
+        ("non-UTF-8 trailer", b"700,700,1\n700,690,2\n690,700,3\n690,690,4\n# \xff\n",
+         ":7: not UTF-8 text"),
+        ("non-finite after blank lines", b"700,700,1\n\n700,690,2\n\n690,700,inf\n690,690,4\n",
+         ":7: non-finite data"),
+        ("negative after blank lines", b"700,700,1\n\n\n700,690,-2\n690,700,3\n690,690,4\n",
+         ":6: negative intensity at cell (signal_nm=700, idler_nm=690)"),
+        ("width after blank lines", b"\n700,700,1,0\n700,690,2,0\n690,700,3,0\n690,690,4,0\n",
+         ":4: expected 3 columns, got 4"),
+    ])
+    def test_fast_path_agrees_with_fallback(self, tmp_path, monkeypatch, case, body, expected):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(b"# format: jsiv1\n# columns: signal_nm,idler_nm,intensity\n" + body)
+        fast, slow = _both_paths(path, monkeypatch)
+        assert fast == slow
+        if isinstance(expected, str):
+            assert fast == f"{path}{expected}"
+        else:
+            assert fast["intensity"] == np.array(expected, dtype=float).tobytes()
+
+    def test_line_numbers_rebuilt_only_for_a_message(self, tmp_path, monkeypatch):
+        rescans = []
+        line_numbers = dataio._line_numbers
+        monkeypatch.setattr(dataio, "_line_numbers",
+                            lambda path: rescans.append(path) or line_numbers(path))
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(self.GRID) + "\n")
+        ingest_measured_jsi(path)
+        assert rescans == []
+        path.write_text("\n".join(self.GRID[:4] + ["690,690,nan"]) + "\n")
+        assert _ingest_outcome(path) == f"{path}:5: non-finite data"
+        assert rescans == [path]
+
 
 class TestCurveExport:
     def test_one_sided_curve_has_unit_transmission_column(self, tmp_path):
@@ -263,6 +365,18 @@ class TestAtomicWrites:
             export_jsi(state, target)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            dataio.write_lines(tmp_path / "out.csv", ["x"])
+            (tmp_path / "plain.csv").write_text("x\n")
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "out.csv").stat().st_mode & 0o777 == mode
+        assert (tmp_path / "plain.csv").stat().st_mode & 0o777 == mode
 
     def test_no_stray_temp_files(self, tmp_path):
         state = make_input_state(points=8)
