@@ -124,10 +124,11 @@ def format_block(values: np.ndarray) -> np.ndarray:
     return words
 
 
-def csv_lines(*cells: np.ndarray) -> list[str]:
-    """Lines joining the fields of equally long format_block outputs with commas."""
+def csv_text(*cells: np.ndarray) -> str:
+    """Newline-terminated lines joining the fields of equally long format_block
+    outputs with commas."""
     table = np.concatenate(cells, axis=1).view(np.uint8)
     table = table.reshape(len(cells[0]), len(cells), _FIELD)
     table[:, :, _SEPARATOR] = ord(",")
     table[:, -1, _SEPARATOR] = ord("\n")
-    return table.tobytes().translate(None, b"\0").decode("ascii").splitlines()
+    return table.tobytes().translate(None, b"\0").decode("ascii")

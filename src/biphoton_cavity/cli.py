@@ -41,11 +41,12 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _emit(lines, out_path):
+def _emit(pieces, out_path):
+    """Write an export's text pieces to `out_path`, or to stdout when it is None."""
     if out_path is None:
-        dataio._write_chunked(sys.stdout, lines)
+        sys.stdout.writelines(pieces)
     else:
-        dataio.write_lines(out_path, lines)
+        dataio.write_lines(out_path, pieces)
         print(f"wrote {out_path}", file=sys.stderr)
 
 
@@ -55,22 +56,24 @@ def _load(args):
 
 
 def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{flag}: expected start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
-            raise ConfigError(f"{flag}: bad range {spec!r}")
-        points = (stop + step / 2.0 - start) / step  # np.arange's length, before it allocates
-        if points > MAX_SWEEP_POINTS:
-            raise ConfigError(f"{flag}: range {spec!r} would give {points:.3g} points; "
-                              f"the limit is {MAX_SWEEP_POINTS}")
-        return tuple(np.round(np.arange(start, stop + step / 2.0, step), 12))
+    is_range = ":" in spec
+    parts = spec.split(":" if is_range else ",")
+    if is_range and len(parts) != 3:
+        raise ConfigError(f"{flag}: expected start:stop:step, got {spec!r}")
     try:
-        return tuple(float(p) for p in spec.split(","))
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{flag}: expected numbers, got {spec!r}") from None
+    if not is_range:
+        return values
+    start, stop, step = values
+    if not all(map(math.isfinite, values)) or step <= 0.0 or stop < start:
+        raise ConfigError(f"{flag}: bad range {spec!r}")
+    points = (stop + step / 2.0 - start) / step  # np.arange's length, before it allocates
+    if points > MAX_SWEEP_POINTS:
+        raise ConfigError(f"{flag}: range {spec!r} would give {points:.3g} points; "
+                          f"the limit is {MAX_SWEEP_POINTS}")
+    return tuple(np.round(np.arange(start, stop + step / 2.0, step), 12))
 
 
 def _cmd_state(args) -> int:
@@ -85,8 +88,7 @@ def _cmd_transmit(args) -> int:
     run = run_single(config)
     _emit(dataio.render_jsi(run.output_state, config), _resolve_out(args.out))
     if args.curve_out:
-        dataio.export_curve(run.curve, _resolve_out(args.curve_out), config)
-        print(f"wrote {_resolve_out(args.curve_out)}", file=sys.stderr)
+        _emit(dataio.render_curve(run.curve, config), _resolve_out(args.curve_out))
     return 0
 
 
@@ -106,7 +108,7 @@ def _cmd_entropy(args) -> int:
         lines.append(f"entropy_bits = {entropy / math.log(2.0):.9g}")
     else:
         lines.append(f"entropy_nats = {entropy:.9g}")
-    _emit(lines, _resolve_out(args.out))
+    _emit(["\n".join(lines) + "\n"], _resolve_out(args.out))
     return 0
 
 
@@ -138,7 +140,7 @@ def _cmd_ingest(args) -> int:
     if flags:
         lines.append(f"# flags: {';'.join(flags)}")
     lines.append(f"entropy_nats = {entropy:.9g}")
-    _emit(lines, _resolve_out(args.out))
+    _emit(["\n".join(lines) + "\n"], _resolve_out(args.out))
     return 0
 
 

@@ -100,15 +100,6 @@ _SCHEMA: dict[str, tuple[str, str, str]] = {
     "cavity.emitter_damping_ratio": ("cavity", "emitter_damping_ratio", "nonneg_float"),
 }
 
-_SECTION_TO_PREFIX = {
-    "grid": "grid",
-    "pump": "pump",
-    "phase_matching": "phase_matching",
-    "signal_filter": "filters.signal",
-    "idler_filter": "filters.idler",
-    "cavity": "cavity",
-}
-
 
 def _parse_value(key: str, raw: str, kind: str, where: str):
     def fail(message):
@@ -205,7 +196,13 @@ def _cross_validate(config: SimConfig, source: str) -> None:
 def load_config(path) -> SimConfig:
     """Read and parse a configuration file."""
     path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
+    return parse_config_text(text, source=str(path))
 
 
 def apply_overrides(config: SimConfig, overrides: list[str], where: str = "override") -> SimConfig:

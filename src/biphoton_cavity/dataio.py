@@ -3,12 +3,13 @@
 Files are comma-separated UTF-8 with LF line endings and a '#'-prefixed
 header carrying the format version, a full config echo, and the column
 schema.  Numbers are printed as format(x, ".9g") prints them; bulk columns
-go through a numpy block formatter with the same output.  Writes go to a
-temporary file and are renamed into place, so failed exports leave nothing
-behind.  Exports are written, and ingested files read, in bounded chunks.
+go through a numpy block formatter with the same output.  An export is an
+iterable of text pieces, each of whole newline-terminated lines, whose
+concatenation is the file: a jsiv1 export is one piece per block of grid
+cells.  Writes go to a temporary file and are renamed into place, so failed
+exports leave nothing behind.  Ingested files are read in bounded chunks.
 """
 
-import itertools
 import os
 import tempfile
 from array import array
@@ -31,9 +32,6 @@ SWEEP_FORMAT = "sweepv1"
 
 INTENSITY_ONLY_FLAG = "intensity-only lower-fidelity"
 
-# Lines joined per write() call when streaming an export.
-_CHUNK_LINES = 4096
-
 # Grid cells formatted per block by render_jsi: a block's text and
 # temporaries take about 1 kB a cell, and 2048 is as fast as 4096.
 _BLOCK_CELLS = 2048
@@ -43,24 +41,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _header_lines(format_name: str, config: SimConfig | None, extra=()) -> list[str]:
+def _header(format_name: str, config: SimConfig | None, columns: str, extra=()) -> str:
     lines = [f"# format: {format_name}"]
     if config is not None:
         lines += [f"# config.{line}" for line in config.echo_lines()]
         if config.applied_defaults:
             lines.append("# defaulted: " + ",".join(config.applied_defaults))
     lines += [f"# {line}" for line in extra]
-    return lines
+    lines.append(f"# columns: {columns}")
+    return "".join(line + "\n" for line in lines)
 
 
-def _write_chunked(handle, lines: Iterable[str]) -> None:
-    """Write each line followed by a newline, `_CHUNK_LINES` lines per write() call."""
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        handle.write("\n".join(chunk) + "\n")
-
-
-def write_lines(path, lines: Iterable[str]) -> None:
+def write_lines(path, pieces: Iterable[str]) -> None:
+    """Write the concatenation of `pieces` to `path`, atomically."""
     path = Path(path)
     if path.parent and not path.parent.is_dir():
         raise OSError(f"output directory does not exist: {path.parent}")
@@ -71,7 +64,7 @@ def write_lines(path, lines: Iterable[str]) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            _write_chunked(handle, lines)
+            handle.writelines(pieces)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -82,12 +75,12 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> Iterator[str]:
-    """The jsiv1 lines of `state`, generated lazily: a 512x512 grid is 262k lines."""
+    """The jsiv1 text of `state`, generated lazily: the header, then one piece
+    per `_BLOCK_CELLS` grid cells (a 512x512 grid is 262k lines)."""
     # Imported on first use: commands that export no data never compile it.
-    from ._blockfmt import csv_lines, format_block
+    from ._blockfmt import csv_text, format_block
 
-    yield from _header_lines(JSI_FORMAT, config)
-    yield "# columns: signal_nm,idler_nm,re,im,intensity"
+    yield _header(JSI_FORMAT, config, "signal_nm,idler_nm,re,im,intensity")
     signal_nm = format_block(wavelength_from_omega(state.grid.signal_axis))
     idler_nm = format_block(wavelength_from_omega(state.grid.idler_axis))
     amplitude, n_idler = state.amplitude.ravel(), state.grid.n_idler
@@ -96,7 +89,7 @@ def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> Ite
         row, col = np.divmod(np.arange(start, start + block.size), n_idler)
         with np.errstate(over="ignore"):
             intensity = block.real * block.real + block.imag * block.imag
-        yield from csv_lines(
+        yield csv_text(
             np.take(signal_nm, row, axis=0), np.take(idler_nm, col, axis=0),
             format_block(block.real), format_block(block.imag), format_block(intensity),
         )
@@ -107,14 +100,13 @@ def export_jsi(state: BiphotonAmplitude, path, config: SimConfig | None = None) 
 
 
 def render_curve(curve: TransferCurve, config: SimConfig | None = None) -> list[str]:
-    from ._blockfmt import csv_lines, format_block
+    from ._blockfmt import csv_text, format_block
 
     extra = [f"flags: {';'.join(curve.flags)}"] if curve.flags else []
-    lines = _header_lines(CURVE_FORMAT, config, extra)
-    lines.append("# columns: wavelength_nm,re,im,transmission,phase_rad")
+    header = _header(CURVE_FORMAT, config, "wavelength_nm,re,im,transmission,phase_rad", extra)
     columns = (wavelength_from_omega(curve.axis), curve.values.real, curve.values.imag,
                curve.transmission, curve.phase)
-    return lines + csv_lines(*map(format_block, columns))
+    return [header, csv_text(*map(format_block, columns))]
 
 
 def export_curve(curve: TransferCurve, path, config: SimConfig | None = None) -> None:
@@ -129,24 +121,21 @@ def render_sweep(result: SweepResult, config: SimConfig | None = None) -> list[s
         f"reference.input_entropy_nats: {_fmt(result.input_entropy)}",
         f"reference.empty_cavity_entropy_nats: {_fmt(result.empty_cavity_entropy)}",
     ]
-    lines = _header_lines(SWEEP_FORMAT, config, extra)
-    lines.append(
-        "# columns: series_param,series_value,sweep_param,sweep_value,"
-        "entropy_nats,delta_vs_input_nats,flags"
-    )
+    pieces = [_header(SWEEP_FORMAT, config, "series_param,series_value,sweep_param,"
+                      "sweep_value,entropy_nats,delta_vs_input_nats,flags", extra)]
     series_param = result.plan.series_parameter or "none"
     sweep_param = result.plan.swept_parameter
     for row in result.rows:
-        lines.append(
+        pieces.append(
             f"{series_param},{_fmt(row.series_value)},{sweep_param},{_fmt(row.sweep_value)},"
-            f"{_fmt(row.entropy)},{_fmt(row.delta_vs_input)},{';'.join(row.flags)}"
+            f"{_fmt(row.entropy)},{_fmt(row.delta_vs_input)},{';'.join(row.flags)}\n"
         )
     for ref in result.reference_rows:
-        lines.append(
+        pieces.append(
             f"reference,0,{sweep_param},{_fmt(ref.sweep_value)},"
-            f"{_fmt(ref.entropy)},0,reference:{ref.kind}"
+            f"{_fmt(ref.entropy)},0,reference:{ref.kind}\n"
         )
-    return lines
+    return pieces
 
 
 def export_sweep(result: SweepResult, path, config: SimConfig | None = None) -> None:
@@ -171,6 +160,8 @@ class MeasuredJsi:
             steps = np.diff(axis)
             if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
                 raise ValueError(f"{name} axis must be strictly monotone")
+            if not np.all(np.isfinite(axis) & (axis > 0.0)):
+                raise ValueError(f"{name} axis must be finite and positive (nm)")
         if not np.all(np.isfinite(self.intensity)):
             raise ValueError("intensities must be finite")
         if np.any(self.intensity < 0.0):

@@ -118,11 +118,11 @@ def entropy_of_samples(
         raise ValueError("amplitude shape does not match the axes")
     weighted = amp * np.sqrt(np.outer(_trapezoid_weights(ws), _trapezoid_weights(wi)))
     singular = np.linalg.svd(weighted, compute_uv=False)
-    p = singular**2
-    total = p.sum()
-    if total == 0.0:
+    largest = singular.max()
+    if largest == 0.0:
         raise ValueError("cannot compute entropy of an all-zero amplitude")
-    return _entropy_from_probabilities(p / total)
+    p = (singular / largest) ** 2  # scaled first: s**2 over- or underflows far from 1
+    return _entropy_from_probabilities(p / p.sum())
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:

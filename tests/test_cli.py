@@ -67,7 +67,7 @@ class TestStateCommand:
         assert main(["state", "--config", config_path]) == 0
         out = capsysbinary.readouterr().out
         assert out.startswith(b"# format: jsiv1")
-        assert out.count(b"\n") > dataio._CHUNK_LINES  # crosses a chunk boundary
+        assert out.count(b"\n") > dataio._BLOCK_CELLS  # crosses a block boundary
         out_file = tmp_path / "state.csv"
         assert main(["state", "--config", config_path, "--out", str(out_file)]) == 0
         assert out == out_file.read_bytes()
@@ -106,6 +106,13 @@ class TestErrorPaths:
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid.points = -3\n")
         assert main(["entropy", "--config", str(bad)]) == 1
+
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(SMALL_CFG.encode() + b"# caf\xe9\n")
+        assert main(["entropy", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}:4: ")
 
     @pytest.mark.parametrize("setting, factor, key", [
         ("filters.signal.center_nm = 900", "signal filter", "filters.signal.center_nm"),
@@ -170,7 +177,11 @@ class TestSweepCommands:
             ("coupling_ratio", "0.75", v) for v in ("-2", "0", "2")]
 
     def test_bad_values_spec(self, config_path, capsys):
-        assert main(["sweep-coupling", "--config", config_path, "--values", "a:b"]) == 1
+        for flag, spec in (("--values", "a:b"), ("--values", "a:b:c"), ("--series", "a:1:1"),
+                           ("--values", "1,x")):
+            assert main(["sweep-coupling", "--config", config_path, f"{flag}={spec}"]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
 
     @pytest.mark.parametrize("flag, spec", [
         ("--values", "0.5:1e8:1e-9"),
@@ -220,6 +231,8 @@ class TestIngestCommand:
             (b"700,700,0\n700,690,0\n690,700,0\n690,690,0\n", ": "),  # all zero
             # idler axis 700, 710, 705: not monotone
             (b"700,700,1\n700,710,1\n700,705,1\n690,700,1\n690,710,1\n690,705,1\n", ": "),
+            (b"0,700,1\n0,690,1\n-10,700,1\n-10,690,1\n", ": "),  # wavelengths not positive
+            (b"700,5,1\n700,0,1\n690,5,1\n690,0,1\n", ": "),
         ):
             bad.write_bytes(data)
             assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1

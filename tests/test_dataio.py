@@ -26,6 +26,7 @@ from biphoton_cavity import (
     wavelength_from_omega,
 )
 from biphoton_cavity import _blockfmt, dataio
+from biphoton_cavity.cli import main
 from biphoton_cavity.config import load_config
 from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_curve, render_jsi, render_sweep
 from biphoton_cavity.schmidt import entropy_of
@@ -113,7 +114,7 @@ class TestRenderJsi:
                 re_, im_ = float(state.amplitude[i, j].real), float(state.amplitude[i, j].imag)
                 cells = (signal_nm[i], idler_nm[j], re_, im_, re_ * re_ + im_ * im_)
                 expected.append(",".join(fmt(x) for x in cells))
-        lines = list(render_jsi(state))
+        lines = "".join(render_jsi(state)).splitlines()
         assert lines[:2] == ["# format: jsiv1", "# columns: signal_nm,idler_nm,re,im,intensity"]
         assert lines[2:] == expected
         assert any(",-0," in line for line in lines)  # signed zero survives
@@ -156,7 +157,7 @@ class TestFormatBlock:
         expected = [",".join(format(float(x), ".9g") for x in (
             nm[j], curve.values[j].real, curve.values[j].imag, curve.transmission[j],
             curve.phase[j])) for j in range(37)]
-        assert render_curve(curve)[-37:] == expected
+        assert "".join(render_curve(curve)).splitlines()[-37:] == expected
 
     def test_reference_fallback_counts(self, monkeypatch):
         """How many cells of the reference state and transmit exports format one by one."""
@@ -371,7 +372,7 @@ class TestAtomicWrites:
     def test_mode_follows_umask(self, tmp_path, umask, mode):
         previous = os.umask(umask)
         try:
-            dataio.write_lines(tmp_path / "out.csv", ["x"])
+            dataio.write_lines(tmp_path / "out.csv", ["x\n"])
             (tmp_path / "plain.csv").write_text("x\n")
         finally:
             os.umask(previous)
@@ -416,12 +417,43 @@ class TestStreaming:
         # the lower bound shows that the traced allocations include numpy's
         assert table_bytes < _traced_peak(lambda: ingest_measured_jsi(path)) < 2 * table_bytes
 
-    @pytest.mark.parametrize("count", [1, dataio._CHUNK_LINES, 2 * dataio._CHUNK_LINES + 1])
-    def test_chunked_write_matches_one_join(self, tmp_path, count):
-        lines = [f"line {k}" for k in range(count)]
-        path = tmp_path / "out.txt"
-        dataio.write_lines(path, iter(lines))
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    def test_blocks_join_to_per_cell_format(self, tmp_path, capsysbinary):
+        """Three blocks, the last one partial: the pieces join to the per-cell text."""
+        rng = np.random.default_rng(5)
+        grid = FrequencyGrid(np.linspace(2.70, 2.80, 67), np.linspace(2.65, 2.85, 71))
+        amp = np.empty((67, 71), dtype=complex)
+        amp.real = _awkward_floats(rng, amp.size).reshape(amp.shape)
+        amp.imag = _awkward_floats(rng, amp.size).reshape(amp.shape)
+        assert 2 * dataio._BLOCK_CELLS < amp.size < 3 * dataio._BLOCK_CELLS
+        state = BiphotonAmplitude(grid, amp)
+        config = small_config()
+        signal_nm = wavelength_from_omega(grid.signal_axis)
+        idler_nm = wavelength_from_omega(grid.idler_axis)
+        expected = _header_text(config).splitlines(keepends=True)
+        for i in range(67):
+            for j in range(71):
+                re_, im_ = float(amp[i, j].real), float(amp[i, j].imag)
+                cells = (signal_nm[i], idler_nm[j], re_, im_, re_ * re_ + im_ * im_)
+                expected.append(",".join(format(float(x), ".9g") for x in cells) + "\n")
+        # Compared line by line: pytest's diff of two long unequal strings
+        # takes minutes.
+        assert "".join(render_jsi(state, config)).splitlines(keepends=True) == expected
+
+        cfg = tmp_path / "grid67.cfg"
+        cfg.write_text("grid.points = 67\n")
+        assert 2 * dataio._BLOCK_CELLS < 67 * 67 < 3 * dataio._BLOCK_CELLS
+        assert main(["state", "--config", str(cfg)]) == 0
+        stdout = capsysbinary.readouterr().out
+        config = load_config(cfg)
+        export_jsi(run_single(config).input_state, tmp_path / "state.csv", config)
+        assert (tmp_path / "state.csv").read_bytes() == stdout
+
+
+def _header_text(config):
+    lines = ["# format: jsiv1", *(f"# config.{line}" for line in config.echo_lines())]
+    if config.applied_defaults:
+        lines.append("# defaulted: " + ",".join(config.applied_defaults))
+    return "".join(line + "\n" for line in lines + ["# columns: signal_nm,idler_nm,re,im,intensity"])
 
 
 class TestIngestValidation:

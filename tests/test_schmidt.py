@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from biphoton_cavity import (
     entropy_of,
     entropy_oracle,
     normalize,
+    omega_from_wavelength,
     schmidt_decompose,
 )
 from biphoton_cavity.schmidt import entropy_of_samples
@@ -169,6 +172,15 @@ class TestEntropyOfSamples:
         axis = np.sort(np.concatenate([np.linspace(2.6, 2.8, 20), [2.61, 2.73]]))
         amp = np.outer(np.exp(-np.linspace(-1, 1, 22) ** 2), np.ones(22)).astype(complex)
         assert entropy_of_samples(axis, axis, amp) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scale_far_from_one_keeps_entropy(self, scale):
+        """Two equal modes give ln 2 where the squared singular values over- or underflow."""
+        axis = omega_from_wavelength(np.array([700.0, 690.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entropy = entropy_of_samples(axis, axis, scale * np.eye(2, dtype=complex))
+        assert entropy == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_rejects_bad_axes(self):
         axis = np.array([1.0, 0.9, 1.2])
