@@ -417,6 +417,14 @@ class TestStreaming:
         # the lower bound shows that the traced allocations include numpy's
         assert table_bytes < _traced_peak(lambda: ingest_measured_jsi(path)) < 2 * table_bytes
 
+    @pytest.mark.parametrize("count", [1, 4096, 8193])
+    def test_chunked_write_matches_one_join(self, tmp_path, count):
+        """`count` one-line pieces are written as their concatenation."""
+        lines = [f"line {k}" for k in range(count)]
+        path = tmp_path / "out.txt"
+        dataio.write_lines(path, (line + "\n" for line in lines))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_blocks_join_to_per_cell_format(self, tmp_path, capsysbinary):
         """Three blocks, the last one partial: the pieces join to the per-cell text."""
         rng = np.random.default_rng(5)
