@@ -64,10 +64,12 @@ def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
         values = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{flag}: expected numbers, got {spec!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag}: values must be finite, got {spec!r}")
     if not is_range:
         return values
     start, stop, step = values
-    if not all(map(math.isfinite, values)) or step <= 0.0 or stop < start:
+    if step <= 0.0 or stop < start:
         raise ConfigError(f"{flag}: bad range {spec!r}")
     points = (stop + step / 2.0 - start) / step  # np.arange's length, before it allocates
     if points > MAX_SWEEP_POINTS:

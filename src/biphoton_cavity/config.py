@@ -1,6 +1,9 @@
 """Simulation configuration: dataclasses, defaults, and the flat key-value
 file format (dotted keys, one `key = value` per line, '#' comments).
 
+The pump, phase-matching and filter sections are the state specs that
+compose_input_state takes.
+
 Unknown keys are rejected; omitted keys take the documented defaults and the
 applied defaults are recorded on the returned config.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cavity import CAVITY_KINDS
-from .state import PM_KINDS, PUMP_CONVENTIONS
+from .state import PM_KINDS, PUMP_CONVENTIONS, FilterSpec, PhaseMatchingSpec, PumpSpec
 
 
 # grid.points is rejected when one n x n complex128 array (16 n^2 bytes) would
@@ -33,27 +36,6 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class PumpConfig:
-    center_down_nm: float = 685.0
-    bandwidth_nm: float = 6.0
-    # at_degeneracy is by far the closer match to the reference base
-    # entropy; both conventions remain selectable (see README).
-    bandwidth_convention: str = "at_degeneracy"
-
-
-@dataclass(frozen=True)
-class PhaseMatchingConfig:
-    kind: str = "flat"
-    width_nm: float | None = None
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    center_nm: float = 685.0
-    fwhm_nm: float = 8.0
-
-
-@dataclass(frozen=True)
 class CavityConfig:
     kind: str = "two_sided"
     center_nm: float = 685.0
@@ -66,10 +48,10 @@ class CavityConfig:
 @dataclass(frozen=True)
 class SimConfig:
     grid: GridConfig = GridConfig()
-    pump: PumpConfig = PumpConfig()
-    phase_matching: PhaseMatchingConfig = PhaseMatchingConfig()
-    signal_filter: FilterConfig = FilterConfig()
-    idler_filter: FilterConfig = FilterConfig()
+    pump: PumpSpec = PumpSpec(685.0, 6.0)
+    phase_matching: PhaseMatchingSpec = PhaseMatchingSpec()
+    signal_filter: FilterSpec = FilterSpec(685.0, 8.0)
+    idler_filter: FilterSpec = FilterSpec(685.0, 8.0)
     cavity: CavityConfig = CavityConfig()
     applied_defaults: tuple[str, ...] = field(default=(), compare=False)
 
@@ -78,21 +60,21 @@ class SimConfig:
         return [f"{key} = {_format_value(value)}" for key, value in _flatten(self)]
 
 
-# key -> (section attr, field attr, parser)
-_SCHEMA: dict[str, tuple[str, str, str]] = {
+# key -> (section attr, field attr, parser name or tuple of allowed values)
+_SCHEMA: dict[str, tuple[str, str, str | tuple[str, ...]]] = {
     "grid.center_nm": ("grid", "center_nm", "pos_float"),
     "grid.span_nm": ("grid", "span_nm", "pos_float"),
     "grid.points": ("grid", "points", "points"),
     "pump.center_down_nm": ("pump", "center_down_nm", "pos_float"),
     "pump.bandwidth_nm": ("pump", "bandwidth_nm", "pos_float"),
-    "pump.bandwidth_convention": ("pump", "bandwidth_convention", "pump_convention"),
-    "phase_matching.kind": ("phase_matching", "kind", "pm_kind"),
+    "pump.bandwidth_convention": ("pump", "bandwidth_convention", PUMP_CONVENTIONS),
+    "phase_matching.kind": ("phase_matching", "kind", PM_KINDS),
     "phase_matching.width_nm": ("phase_matching", "width_nm", "pos_float"),
     "filters.signal.center_nm": ("signal_filter", "center_nm", "pos_float"),
     "filters.signal.fwhm_nm": ("signal_filter", "fwhm_nm", "pos_float"),
     "filters.idler.center_nm": ("idler_filter", "center_nm", "pos_float"),
     "filters.idler.fwhm_nm": ("idler_filter", "fwhm_nm", "pos_float"),
-    "cavity.kind": ("cavity", "kind", "cavity_kind"),
+    "cavity.kind": ("cavity", "kind", CAVITY_KINDS),
     "cavity.center_nm": ("cavity", "center_nm", "pos_float"),
     "cavity.lifetime_fs": ("cavity", "lifetime_fs", "pos_float"),
     "cavity.coupling_ratio": ("cavity", "coupling_ratio", "nonneg_float"),
@@ -101,7 +83,7 @@ _SCHEMA: dict[str, tuple[str, str, str]] = {
 }
 
 
-def _parse_value(key: str, raw: str, kind: str, where: str):
+def _parse_value(key: str, raw: str, kind: str | tuple[str, ...], where: str):
     def fail(message):
         return ConfigError(f"{where}: key {key!r}: {message}")
 
@@ -129,17 +111,9 @@ def _parse_value(key: str, raw: str, kind: str, where: str):
             raise fail(f"one {value}x{value} complex grid array needs {array_bytes} bytes, "
                        f"over the {MAX_GRID_ARRAY_BYTES}-byte limit")
         return value
-    if kind == "pump_convention":
-        if raw not in PUMP_CONVENTIONS:
-            raise fail(f"must be one of {PUMP_CONVENTIONS}, got {raw!r}")
-        return raw
-    if kind == "pm_kind":
-        if raw not in PM_KINDS:
-            raise fail(f"must be one of {PM_KINDS}, got {raw!r}")
-        return raw
-    if kind == "cavity_kind":
-        if raw not in CAVITY_KINDS:
-            raise fail(f"must be one of {CAVITY_KINDS}, got {raw!r}")
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise fail(f"must be one of {kind}, got {raw!r}")
         return raw
     raise AssertionError(kind)
 
@@ -163,33 +137,30 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
         _, _, kind = _SCHEMA[key]
         seen[key] = _parse_value(key, raw_value, kind, f"{source}:{lineno}")
 
+    default = SimConfig()
+    # The state specs validate on construction, so the cross-key checks run
+    # first, on the merged values, to keep messages that name the key.
+    _cross_validate(dict(_flatten(default)) | seen, source)
     sections: dict[str, dict[str, object]] = {}
     for key, (section, attr, _) in _SCHEMA.items():
         if key in seen:
             sections.setdefault(section, {})[attr] = seen[key]
-    applied_defaults = tuple(sorted(set(_SCHEMA) - set(seen)))
-
-    config = SimConfig(
-        grid=GridConfig(**sections.get("grid", {})),
-        pump=PumpConfig(**sections.get("pump", {})),
-        phase_matching=PhaseMatchingConfig(**sections.get("phase_matching", {})),
-        signal_filter=FilterConfig(**sections.get("signal_filter", {})),
-        idler_filter=FilterConfig(**sections.get("idler_filter", {})),
-        cavity=CavityConfig(**sections.get("cavity", {})),
-        applied_defaults=applied_defaults,
+    return dataclasses.replace(
+        default,
+        applied_defaults=tuple(sorted(set(_SCHEMA) - set(seen))),
+        **{section: dataclasses.replace(getattr(default, section), **given)
+           for section, given in sections.items()},
     )
-    _cross_validate(config, source)
-    return config
 
 
-def _cross_validate(config: SimConfig, source: str) -> None:
-    if config.phase_matching.kind == "gaussian" and config.phase_matching.width_nm is None:
+def _cross_validate(values: dict[str, object], source: str) -> None:
+    if values["phase_matching.kind"] == "gaussian" and "phase_matching.width_nm" not in values:
         raise ConfigError(
             f"{source}: missing required key 'phase_matching.width_nm' for gaussian kind"
         )
-    if config.grid.span_nm >= 2.0 * config.grid.center_nm:
+    if values["grid.span_nm"] >= 2.0 * values["grid.center_nm"]:
         raise ConfigError(f"{source}: key 'grid.span_nm': span too wide for the center")
-    if config.pump.bandwidth_nm >= config.pump.center_down_nm / 2.0:
+    if values["pump.bandwidth_nm"] >= values["pump.center_down_nm"] / 2.0:
         raise ConfigError(f"{source}: key 'pump.bandwidth_nm': too wide for the pump center")
 
 

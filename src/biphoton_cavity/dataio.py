@@ -168,6 +168,8 @@ class MeasuredJsi:
             raise ValueError("intensities must be non-negative")
         if not np.any(self.intensity > 0.0):
             raise ValueError("intensity map is all zero")
+        if self.amplitude is not None and not np.any(self.amplitude):
+            raise ValueError("amplitude map is all zero")
 
 
 def _skip_line(line: str, columns: list[str]) -> bool:

@@ -11,9 +11,6 @@ from .grid import FrequencyGrid, build_grid, omega_from_wavelength
 from .schmidt import entropy_of, state_norm
 from .state import (
     BiphotonAmplitude,
-    FilterSpec,
-    PhaseMatchingSpec,
-    PumpSpec,
     apply_idler_transfer,
     compose_input_state,
     detection_filter_profile,
@@ -29,30 +26,24 @@ def grid_from_config(config: SimConfig) -> FrequencyGrid:
 
 def input_state_from_config(config: SimConfig, grid: FrequencyGrid | None = None) -> BiphotonAmplitude:
     grid = grid_from_config(config) if grid is None else grid
-    pump = PumpSpec(
-        center_wavelength=config.pump.center_down_nm,
-        bandwidth_fwhm=config.pump.bandwidth_nm,
-        bandwidth_convention=config.pump.bandwidth_convention,
+    state = compose_input_state(
+        config.pump, config.phase_matching, config.signal_filter, config.idler_filter, grid
     )
-    pm = PhaseMatchingSpec(kind=config.phase_matching.kind, width_nm=config.phase_matching.width_nm)
-    signal = FilterSpec(config.signal_filter.center_nm, config.signal_filter.fwhm_nm)
-    idler = FilterSpec(config.idler_filter.center_nm, config.idler_filter.fwhm_nm)
-    state = compose_input_state(pump, pm, signal, idler, grid)
     if state_norm(state) == 0.0:  # normalize() would fail, without naming a cause
-        raise ConfigError(_zero_state_message(pump, pm, signal, idler, grid))
+        raise ConfigError(_zero_state_message(config, grid))
     return state
 
 
-def _zero_state_message(pump, pm, signal, idler, grid: FrequencyGrid) -> str:
+def _zero_state_message(config: SimConfig, grid: FrequencyGrid) -> str:
     """Name the factor, and its config key, of an input state whose |F|^2 underflows."""
     factors = (
-        ("pump envelope", "pump.center_down_nm", pump_envelope(pump, grid).amplitude),
+        ("pump envelope", "pump.center_down_nm", pump_envelope(config.pump, grid).amplitude),
         ("phase-matching envelope", "phase_matching.width_nm",
-         phase_matching_envelope(pm, grid).amplitude),
+         phase_matching_envelope(config.phase_matching, grid).amplitude),
         ("signal filter", "filters.signal.center_nm",
-         detection_filter_profile(signal, grid.signal_axis)),
+         detection_filter_profile(config.signal_filter, grid.signal_axis)),
         ("idler filter", "filters.idler.center_nm",
-         detection_filter_profile(idler, grid.idler_axis)),
+         detection_filter_profile(config.idler_filter, grid.idler_axis)),
     )
     for name, key, values in factors:
         if float(np.max(np.abs(values))) ** 2 == 0.0:
@@ -102,11 +93,9 @@ class SingleRun:
     states or curves do no Schmidt decomposition.
     """
 
-    config: SimConfig
     input_state: BiphotonAmplitude
     output_state: BiphotonAmplitude
     curve: TransferCurve
-    flags: tuple[str, ...]
 
     @cached_property
     def input_entropy(self) -> float:
@@ -127,13 +116,7 @@ def run_with_model(config: SimConfig, model: CavityModel) -> SingleRun:
     state = input_state_from_config(config, grid)
     curve = transfer_for(model, grid.idler_axis)
     output = apply_idler_transfer(state, curve)
-    return SingleRun(
-        config=config,
-        input_state=state,
-        output_state=output,
-        curve=curve,
-        flags=curve.flags,
-    )
+    return SingleRun(input_state=state, output_state=output, curve=curve)
 
 
 def run_single(config: SimConfig) -> SingleRun:

@@ -30,21 +30,23 @@ PM_KINDS = ("flat", "gaussian")
 class PumpSpec:
     """Gaussian pump for degenerate SPDC.
 
-    center_wavelength is the down-converted degeneracy point (nm); the pump
-    itself sits at half that wavelength.  bandwidth_fwhm is the FWHM of the
+    center_down_nm is the down-converted degeneracy point (nm); the pump
+    itself sits at half that wavelength.  bandwidth_nm is the FWHM of the
     pump intensity spectrum in nm; bandwidth_convention says at which
     wavelength that nm figure is converted to rad/fs ("at_pump" uses
     center/2, "at_degeneracy" uses the down-converted center).
     """
 
-    center_wavelength: float
-    bandwidth_fwhm: float
+    center_down_nm: float
+    bandwidth_nm: float
+    # at_degeneracy is by far the closer match to the reference base
+    # entropy; both conventions remain selectable (see README).
     bandwidth_convention: str = "at_degeneracy"
 
     def __post_init__(self):
-        if self.center_wavelength <= 0.0 or self.bandwidth_fwhm <= 0.0:
+        if self.center_down_nm <= 0.0 or self.bandwidth_nm <= 0.0:
             raise ValueError("pump center wavelength and bandwidth must be positive")
-        if self.bandwidth_fwhm >= self.center_wavelength / 2.0:
+        if self.bandwidth_nm >= self.center_down_nm / 2.0:
             raise ValueError("pump bandwidth must be small compared to the center wavelength")
         if self.bandwidth_convention not in PUMP_CONVENTIONS:
             raise ValueError(f"unknown pump bandwidth convention {self.bandwidth_convention!r}")
@@ -52,15 +54,15 @@ class PumpSpec:
     @property
     def sum_frequency(self) -> float:
         """Pump angular frequency omega_p = omega_s + omega_i at degeneracy."""
-        return omega_from_wavelength(self.center_wavelength / 2.0)
+        return omega_from_wavelength(self.center_down_nm / 2.0)
 
     @property
     def sigma(self) -> float:
         """Gaussian width of the amplitude envelope exp(-u^2 / (4 sigma^2))."""
         if self.bandwidth_convention == "at_pump":
-            width = bandwidth_nm_to_rad_fs(self.bandwidth_fwhm, self.center_wavelength / 2.0)
+            width = bandwidth_nm_to_rad_fs(self.bandwidth_nm, self.center_down_nm / 2.0)
         else:
-            width = bandwidth_nm_to_rad_fs(self.bandwidth_fwhm, self.center_wavelength)
+            width = bandwidth_nm_to_rad_fs(self.bandwidth_nm, self.center_down_nm)
         # |A|^2 = exp(-u^2 / (2 sigma^2)) must have FWHM equal to `width`.
         return width / _FWHM_GAUSS
 
@@ -69,11 +71,11 @@ class PumpSpec:
 class FilterSpec:
     """Gaussian-squared detection filter: center and FWHM in nm."""
 
-    center_wavelength: float
-    bandwidth_fwhm: float
+    center_nm: float
+    fwhm_nm: float
 
     def __post_init__(self):
-        if self.center_wavelength <= 0.0 or self.bandwidth_fwhm <= 0.0:
+        if self.center_nm <= 0.0 or self.fwhm_nm <= 0.0:
             raise ValueError("filter center wavelength and bandwidth must be positive")
 
 
@@ -147,8 +149,8 @@ def detection_filter_profile(filt: FilterSpec, axis: np.ndarray) -> np.ndarray:
     equal to the filter bandwidth converted at the filter center.  Peak
     value 1 at omega_f.
     """
-    center = omega_from_wavelength(filt.center_wavelength)
-    width = bandwidth_nm_to_rad_fs(filt.bandwidth_fwhm, filt.center_wavelength)
+    center = omega_from_wavelength(filt.center_nm)
+    width = bandwidth_nm_to_rad_fs(filt.fwhm_nm, filt.center_nm)
     sigma = width / _FWHM_SQUARED
     return np.exp(-((np.asarray(axis, dtype=float) - center) ** 2) / sigma**2)
 

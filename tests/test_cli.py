@@ -177,9 +177,17 @@ class TestSweepCommands:
             ("coupling_ratio", "0.75", v) for v in ("-2", "0", "2")]
 
     def test_bad_values_spec(self, config_path, capsys):
-        for flag, spec in (("--values", "a:b"), ("--values", "a:b:c"), ("--series", "a:1:1"),
-                           ("--values", "1,x")):
-            assert main(["sweep-coupling", "--config", config_path, f"{flag}={spec}"]) == 1
+        for command, flag, spec, extra in (
+            ("sweep-coupling", "--values", "a:b", []),
+            ("sweep-coupling", "--values", "a:b:c", []),
+            ("sweep-coupling", "--series", "a:1:1", []),
+            ("sweep-coupling", "--values", "1,x", []),
+            ("sweep-pump", "--values", "nan", ["--cavity-override=kind=dicke"]),
+            ("sweep-pump", "--values", "1,inf", ["--cavity-override=kind=dicke"]),
+            ("sweep-coupling", "--series", "nan", ["--values=1.0", "--cavity-override=kind=dicke"]),
+        ):
+            argv = [command, "--config", config_path, f"{flag}={spec}", *extra]
+            assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
 
@@ -229,6 +237,7 @@ class TestIngestCommand:
             (b"700,700,nan,0,1\n700,690,1,0,1\n690,700,1,0,1\n690,690,1,0,1\n", ":1: "),
             (b"# columns: signal_nm,idler_nm,intensity\n700,700,\xff\n", ":2: "),
             (b"700,700,0\n700,690,0\n690,700,0\n690,690,0\n", ": "),  # all zero
+            (b"700,700,0,0,1\n700,690,0,0,1\n690,700,0,0,1\n690,690,0,0,1\n", ": "),  # re/im zero
             # idler axis 700, 710, 705: not monotone
             (b"700,700,1\n700,710,1\n700,705,1\n690,700,1\n690,710,1\n690,705,1\n", ": "),
             (b"0,700,1\n0,690,1\n-10,700,1\n-10,690,1\n", ": "),  # wavelengths not positive

@@ -502,6 +502,15 @@ class TestIngestValidation:
         with pytest.raises(ValueError, match=re.escape(f"{path}: intensity map is all zero")):
             ingest_measured_jsi(path)
 
+    def test_all_zero_amplitude_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# columns: signal_nm,idler_nm,re,im,intensity\n"
+            "700,700,0,0,1\n700,690,0,0,1\n690,700,0,0,1\n690,690,0,0,1\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: amplitude map is all zero")):
+            ingest_measured_jsi(path)
+
     def test_single_point_axis_names_file(self, tmp_path):
         for name, text in (("one.csv", "700,700,1\n"), ("column.csv", "700,700,1\n690,700,1\n")):
             path = tmp_path / name

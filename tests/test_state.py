@@ -17,9 +17,11 @@ from biphoton_cavity import (
     normalize,
     omega_from_wavelength,
     one_sided_transfer,
+    parse_config_text,
     phase_matching_envelope,
     pump_envelope,
 )
+from biphoton_cavity.pipeline import grid_from_config, input_state_from_config
 from conftest import make_input_state
 
 # half of bandwidth_nm_to_rad_fs(6, 342.5), oracle-computed
@@ -122,6 +124,19 @@ class TestComposeInputState:
         a = compose_input_state(pump, pm, f1, f2, grid).amplitude
         b = compose_input_state(pump, pm, f2, f1, grid).amplitude
         np.testing.assert_array_equal(a, b)
+
+    def test_config_sections_are_the_specs(self):
+        config = parse_config_text(
+            "grid.points = 48\npump.bandwidth_nm = 4\npump.bandwidth_convention = at_pump\n"
+            "phase_matching.kind = gaussian\nphase_matching.width_nm = 12\n"
+            "filters.signal.center_nm = 684\nfilters.idler.fwhm_nm = 7\n"
+        )
+        grid = grid_from_config(config)
+        state = compose_input_state(
+            config.pump, config.phase_matching, config.signal_filter, config.idler_filter, grid
+        )
+        expected = input_state_from_config(config, grid)
+        assert state.amplitude.tobytes() == expected.amplitude.tobytes()
 
     def test_real_nonnegative_under_defaults(self):
         state = make_input_state(points=48)
