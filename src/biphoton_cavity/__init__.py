@@ -6,43 +6,19 @@ microcavity transfer functions, and quantifies the resulting Schmidt
 spectra and entanglement entropies.
 """
 
-from .cavity import (
-    CAVITY_KINDS,
-    CavityModel,
-    TransferCurve,
-    dicke_transfer,
-    one_sided_transfer,
-    phase_step_sharpness,
-    transfer_for,
-    two_sided_transfer,
-)
+from .cavity import CAVITY_KINDS, CavityModel, TransferCurve, transfer_for
 from .config import ConfigError, SimConfig, load_config, parse_config_text
-from .dataio import (
-    MeasuredJsi,
-    export_curve,
-    export_jsi,
-    export_sweep,
-    ingest_measured_jsi,
-    measured_entropy,
-)
+from .dataio import MeasuredJsi, ingest_measured_jsi, measured_entropy
 from .grid import (
     C_NM_PER_FS,
     FrequencyGrid,
     bandwidth_nm_to_rad_fs,
-    bandwidth_rad_fs_to_nm,
     build_grid,
     omega_from_wavelength,
     wavelength_from_omega,
 )
 from .pipeline import run_single, run_with_model
-from .schmidt import (
-    SchmidtSpectrum,
-    entropy_delta,
-    entropy_of,
-    entropy_oracle,
-    normalize,
-    schmidt_decompose,
-)
+from .schmidt import SchmidtSpectrum, entropy_of, entropy_oracle, normalize, schmidt_decompose
 from .state import (
     BiphotonAmplitude,
     FilterSpec,
@@ -51,19 +27,10 @@ from .state import (
     apply_idler_transfer,
     compose_input_state,
     detection_filter_profile,
-    jsi_of,
     phase_matching_envelope,
     pump_envelope,
 )
-from .sweep import (
-    Crossing,
-    SweepPlan,
-    SweepResult,
-    find_entropy_crossing,
-    run_coupling_sweep,
-    run_detuning_sweep,
-    run_pump_bandwidth_sweep,
-)
+from .sweep import Crossing, SweepPlan, SweepResult, find_entropy_crossing, run_sweep
 
 __version__ = "0.1.0"
 
@@ -86,36 +53,24 @@ __all__ = [
     "TransferCurve",
     "apply_idler_transfer",
     "bandwidth_nm_to_rad_fs",
-    "bandwidth_rad_fs_to_nm",
     "build_grid",
     "compose_input_state",
     "detection_filter_profile",
-    "dicke_transfer",
-    "entropy_delta",
     "entropy_of",
     "entropy_oracle",
-    "export_curve",
-    "export_jsi",
-    "export_sweep",
     "find_entropy_crossing",
     "ingest_measured_jsi",
-    "jsi_of",
     "load_config",
     "measured_entropy",
     "normalize",
     "omega_from_wavelength",
-    "one_sided_transfer",
     "parse_config_text",
     "phase_matching_envelope",
-    "phase_step_sharpness",
     "pump_envelope",
-    "run_coupling_sweep",
-    "run_detuning_sweep",
-    "run_pump_bandwidth_sweep",
     "run_single",
+    "run_sweep",
     "run_with_model",
     "schmidt_decompose",
     "transfer_for",
-    "two_sided_transfer",
     "wavelength_from_omega",
 ]

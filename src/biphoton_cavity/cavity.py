@@ -114,103 +114,33 @@ def _unwrap_phase(axis, values, split):
     return out
 
 
-def one_sided_transfer(model: CavityModel, axis: np.ndarray) -> TransferCurve:
-    """All-pass response of a cavity with loss through a single mirror."""
-    if model.kind != "one_sided":
-        raise ValueError(f"one_sided_transfer called with kind {model.kind!r}")
-    d = np.asarray(axis, dtype=float) - model.omega_0
-    half = model.gamma / 2.0
-    values = (half - 1j * d) / (half + 1j * d)
-    return TransferCurve(axis=axis, values=values, flags=model.flags())
+def transfer_for(model: CavityModel, axis: np.ndarray) -> TransferCurve:
+    """Sampled response of the model's cavity kind on `axis`.
 
-
-def two_sided_transfer(model: CavityModel, axis: np.ndarray) -> TransferCurve:
-    """Lorentzian transmission of a cavity with equally leaky mirrors.
-
-    C(omega_0) = 1 and |C|^2 has FWHM 2*gamma in angular frequency.
+    one_sided is the all-pass response of a cavity with loss through a single
+    mirror.  two_sided is the Lorentzian of a cavity with equally leaky
+    mirrors: C(omega_0) = 1 and |C|^2 has FWHM 2*gamma in angular frequency.
+    dicke is the cavity coupled to a collective emitter mode: at zero
+    detuning the transmission shows unit-height polariton peaks at
+    omega_0 +/- lambda_c and, without emitter damping, an exact zero at the
+    emitter frequency, where the phase jumps by pi.  A dicke cavity with
+    lambda_c = 0 is the two-sided response.
     """
-    if model.kind != "two_sided":
-        raise ValueError(f"two_sided_transfer called with kind {model.kind!r}")
-    d = np.asarray(axis, dtype=float) - model.omega_0
-    values = model.gamma / (model.gamma + 1j * d)
-    return TransferCurve(axis=axis, values=values, flags=model.flags())
-
-
-def dicke_transfer(model: CavityModel, axis: np.ndarray) -> TransferCurve:
-    """Response of the cavity strongly coupled to a collective emitter mode.
-
-    At zero detuning the transmission shows unit-height polariton peaks at
-    omega_0 +/- lambda_c and an exact zero at the emitter frequency, where
-    the phase jumps by pi.  With lambda_c = 0 the curve reduces to the
-    two-sided response.
-    """
-    if model.kind != "dicke":
-        raise ValueError(f"dicke_transfer called with kind {model.kind!r}")
     w = np.asarray(axis, dtype=float)
     d = w - model.omega_0
-    if model.lambda_c == 0.0:
-        values = model.gamma / (model.gamma + 1j * d)
-        return TransferCurve(axis=axis, values=values, flags=model.flags())
-    de = w - model.omega_e
-    at_emitter = de == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        self_energy = model.lambda_c**2 / (1j * de + model.gamma_e / 2.0)
-        values = model.gamma / (model.gamma + 1j * d + self_energy)
-    if model.gamma_e == 0.0:
-        # Defined limit at the pole: |C| -> 0 from both sides.
-        values[at_emitter] = 0.0
-    split = model.omega_e if model.gamma_e == 0.0 else None
-    return TransferCurve(axis=axis, values=values, flags=model.flags(), _phase_split=split)
-
-
-def transfer_for(model: CavityModel, axis: np.ndarray) -> TransferCurve:
-    """Dispatch to the transfer function matching the model kind."""
+    split = None
     if model.kind == "one_sided":
-        return one_sided_transfer(model, axis)
-    if model.kind == "two_sided":
-        return two_sided_transfer(model, axis)
-    return dicke_transfer(model, axis)
-
-
-def phase_step_sharpness(model: CavityModel, axis: np.ndarray) -> float:
-    """Width (rad/fs) of the central pi phase transition across the emitter line.
-
-    The unwrapped phase approaches -pi/2 just below the emitter frequency and
-    +pi/2 just above it.  The returned width is the distance between the
-    10% and 90% levels of that step (phase = -0.4 pi on the left, +0.4 pi on
-    the right), each located by linear interpolation on the sampled curve.
-    The width grows with lambda_c/gamma: a larger self-energy pushes the
-    +-pi/2 approach region outward.
-    """
-    if model.kind != "dicke":
-        raise ValueError("phase step sharpness is defined for dicke cavities")
-    if model.lambda_c <= 0.0:
-        raise ValueError("phase step sharpness requires lambda_c > 0")
-    curve = dicke_transfer(model, axis)
-    w = curve.axis
-    left = w < model.omega_e
-    right = w > model.omega_e
-    if left.sum() < 2 or right.sum() < 2:
-        raise ValueError("axis must bracket the emitter frequency")
-    lo_level = -0.4 * np.pi
-    hi_level = 0.4 * np.pi
-
-    w_left = _crossing_nearest(w[left], curve.phase[left], lo_level, side="last")
-    w_right = _crossing_nearest(w[right], curve.phase[right], hi_level, side="first")
-    if w_left is None or w_right is None:
-        raise ValueError("phase step not resolved on this axis; widen or refine it")
-    return float(w_right - w_left)
-
-
-def _crossing_nearest(x, y, level, side):
-    """Interpolated x where y crosses `level`; first or last such crossing."""
-    sign = np.sign(y - level)
-    idx = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
-    if idx.size == 0:
-        return None
-    i = idx[-1] if side == "last" else idx[0]
-    y0, y1 = y[i], y[i + 1]
-    if y1 == y0:
-        return float(x[i])
-    t = (level - y0) / (y1 - y0)
-    return float(x[i] + t * (x[i + 1] - x[i]))
+        half = model.gamma / 2.0
+        values = (half - 1j * d) / (half + 1j * d)
+    elif model.kind == "two_sided" or model.lambda_c == 0.0:
+        values = model.gamma / (model.gamma + 1j * d)
+    else:
+        de = w - model.omega_e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self_energy = model.lambda_c**2 / (1j * de + model.gamma_e / 2.0)
+            values = model.gamma / (model.gamma + 1j * d + self_energy)
+        if model.gamma_e == 0.0:
+            # Defined limit at the pole: |C| -> 0 from both sides.
+            values[de == 0.0] = 0.0
+            split = model.omega_e
+    return TransferCurve(axis=axis, values=values, flags=model.flags(), _phase_split=split)

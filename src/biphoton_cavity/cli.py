@@ -119,13 +119,7 @@ def _cmd_sweep(args) -> int:
     spec = SWEEPS[args.swept_parameter]
     values = _parse_values(args.values, "--values") if args.values else spec.default_values
     series = _parse_values(args.series, "--series") if args.series else spec.default_series
-    plan = SweepPlan(
-        base_config=config,
-        swept_parameter=args.swept_parameter,
-        values=values,
-        series_parameter=spec.series_parameter if series is not None else None,
-        series_values=series if series is not None else (),
-    )
+    plan = SweepPlan(config, args.swept_parameter, values, series_values=series or ())
     _emit(dataio.render_sweep(run_sweep(plan)), _resolve_out(args.out))
     return 0
 

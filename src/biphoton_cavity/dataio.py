@@ -95,10 +95,6 @@ def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> Ite
         )
 
 
-def export_jsi(state: BiphotonAmplitude, path, config: SimConfig | None = None) -> None:
-    write_lines(path, render_jsi(state, config))
-
-
 def render_curve(curve: TransferCurve, config: SimConfig | None = None) -> list[str]:
     from ._blockfmt import csv_text, format_block
 
@@ -109,22 +105,18 @@ def render_curve(curve: TransferCurve, config: SimConfig | None = None) -> list[
     return [header, csv_text(*map(format_block, columns))]
 
 
-def export_curve(curve: TransferCurve, path, config: SimConfig | None = None) -> None:
-    write_lines(path, render_curve(curve, config))
-
-
-def render_sweep(result: SweepResult, config: SimConfig | None = None) -> list[str]:
-    config = result.plan.base_config if config is None else config
+def render_sweep(result: SweepResult) -> list[str]:
+    plan = result.plan
+    series_param = plan.series_parameter or "none"
+    sweep_param = plan.swept_parameter
     extra = [
-        f"swept_parameter: {result.plan.swept_parameter}",
-        f"series_parameter: {result.plan.series_parameter or 'none'}",
+        f"swept_parameter: {sweep_param}",
+        f"series_parameter: {series_param}",
         f"reference.input_entropy_nats: {_fmt(result.input_entropy)}",
         f"reference.empty_cavity_entropy_nats: {_fmt(result.empty_cavity_entropy)}",
     ]
-    pieces = [_header(SWEEP_FORMAT, config, "series_param,series_value,sweep_param,"
+    pieces = [_header(SWEEP_FORMAT, plan.base_config, "series_param,series_value,sweep_param,"
                       "sweep_value,entropy_nats,delta_vs_input_nats,flags", extra)]
-    series_param = result.plan.series_parameter or "none"
-    sweep_param = result.plan.swept_parameter
     for row in result.rows:
         pieces.append(
             f"{series_param},{_fmt(row.series_value)},{sweep_param},{_fmt(row.sweep_value)},"
@@ -136,10 +128,6 @@ def render_sweep(result: SweepResult, config: SimConfig | None = None) -> list[s
             f"{_fmt(ref.entropy)},0,reference:{ref.kind}\n"
         )
     return pieces
-
-
-def export_sweep(result: SweepResult, path, config: SimConfig | None = None) -> None:
-    write_lines(path, render_sweep(result, config))
 
 
 @dataclass(frozen=True)

@@ -47,15 +47,6 @@ def bandwidth_nm_to_rad_fs(fwhm_nm, center_nm):
     return TWO_PI_C * fwhm_nm / center_nm**2
 
 
-def bandwidth_rad_fs_to_nm(width_rad_fs, center_nm):
-    """Inverse of bandwidth_nm_to_rad_fs at the same center wavelength."""
-    if not np.isfinite(width_rad_fs) or width_rad_fs <= 0.0:
-        raise ValueError("width must be finite and positive (rad/fs)")
-    if not np.isfinite(center_nm) or center_nm <= 0.0:
-        raise ValueError("center wavelength must be finite and positive (nm)")
-    return width_rad_fs * center_nm**2 / TWO_PI_C
-
-
 def _check_axis(name, axis):
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError(f"{name} must be a 1-d array with at least 2 samples")

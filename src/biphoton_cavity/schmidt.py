@@ -96,11 +96,6 @@ def entropy_of(state: BiphotonAmplitude) -> float:
     return schmidt_decompose(normalize(state)).entropy
 
 
-def entropy_delta(before: BiphotonAmplitude, after: BiphotonAmplitude) -> float:
-    """S(after) - S(before), each state normalized independently."""
-    return entropy_of(after) - entropy_of(before)
-
-
 def entropy_of_samples(
     signal_axis: np.ndarray, idler_axis: np.ndarray, amplitude: np.ndarray
 ) -> float:

@@ -185,8 +185,3 @@ def apply_idler_transfer(state: BiphotonAmplitude, curve: TransferCurve) -> Biph
     if not np.array_equal(curve.axis, state.grid.idler_axis):
         raise ValueError("transfer curve is not sampled on the state's idler axis")
     return BiphotonAmplitude(grid=state.grid, amplitude=state.amplitude * curve.values[None, :])
-
-
-def jsi_of(state: BiphotonAmplitude) -> np.ndarray:
-    """Joint spectral intensity |F|^2."""
-    return np.abs(state.amplitude) ** 2

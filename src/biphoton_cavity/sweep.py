@@ -56,12 +56,12 @@ SWEEP_PARAMETERS = tuple(SWEEPS)
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """A swept parameter, its values, and an optional small series parameter."""
+    """A swept parameter, its values, and optional values of the series
+    parameter that the swept parameter implies (SWEEPS)."""
 
     base_config: SimConfig
     swept_parameter: str
     values: tuple[float, ...]
-    series_parameter: str | None = None
     series_values: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -74,13 +74,17 @@ class SweepPlan:
             raise ValueError("sweep values must be strictly increasing")
         if self.swept_parameter in ("coupling_ratio", "pump_bandwidth_nm") and values[0] <= 0.0:
             raise ValueError(f"{self.swept_parameter} values must be positive")
+        center = self.base_config.pump.center_down_nm
+        if self.swept_parameter == "pump_bandwidth_nm" and values[-1] >= center / 2.0:
+            raise ValueError(f"pump_bandwidth_nm value {values[-1]:g} must be below half of "
+                             f"pump.center_down_nm ({center:g})")
         object.__setattr__(self, "values", values)
-        series_parameter = SWEEPS[self.swept_parameter].series_parameter
-        if self.series_parameter not in (None, series_parameter):
-            raise ValueError(f"{self.swept_parameter} sweep series must be {series_parameter}")
-        if self.series_parameter is not None and not self.series_values:
-            raise ValueError("series parameter given without series values")
         object.__setattr__(self, "series_values", tuple(float(v) for v in self.series_values))
+
+    @property
+    def series_parameter(self) -> str | None:
+        """The parameter the series values set; None without series values."""
+        return SWEEPS[self.swept_parameter].series_parameter if self.series_values else None
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base config")
     series_arg = SWEEPS[spec.series_parameter].cavity_arg
     cavity_args = {"coupling_ratio": base.cavity.coupling_ratio, "detuning_nm": 0.0}
-    series = plan.series_values if plan.series_parameter else (cavity_args[series_arg],)
+    series = plan.series_values or (cavity_args[series_arg],)
 
     grid = grid_from_config(base)
     empty_curve = transfer_for(cavity_model_from_config(base, kind="two_sided"), grid.idler_axis)
@@ -182,32 +186,6 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         empty_cavity_entropy=empty_entropy,
         reference_rows=tuple(reference_rows),
     )
-
-
-def run_coupling_sweep(plan: SweepPlan) -> SweepResult:
-    """Entropy of the dicke-transformed state per (detuning series, coupling).
-
-    The base config must select a dicke cavity.  Rows carry the
-    weak-coupling flag below the resolved-polariton boundary.
-    """
-    if plan.swept_parameter != "coupling_ratio":
-        raise ValueError("plan does not sweep coupling_ratio")
-    return run_sweep(plan)
-
-
-def run_detuning_sweep(plan: SweepPlan) -> SweepResult:
-    """Entropy per cavity detuning at fixed coupling; emitter stays put."""
-    if plan.swept_parameter != "cavity_detuning_nm":
-        raise ValueError("plan does not sweep cavity_detuning_nm")
-    return run_sweep(plan)
-
-
-def run_pump_bandwidth_sweep(plan: SweepPlan) -> SweepResult:
-    """Entropy per (coupling series, pump bandwidth), with per-bandwidth
-    input-state and empty-cavity reference rows over the same values."""
-    if plan.swept_parameter != "pump_bandwidth_nm":
-        raise ValueError("plan does not sweep pump_bandwidth_nm")
-    return run_sweep(plan)
 
 
 def find_entropy_crossing(result: SweepResult, series_value: float) -> Crossing | None:

@@ -190,6 +190,12 @@ class TestSweepCommands:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
+        # too wide for the pump spec: refused by the sweep plan, naming the value and the key
+        argv = ["sweep-pump", "--config", config_path, "--values=1,400", "--series=1",
+                "--cavity-override=kind=dicke"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "400" in err and "pump.center_down_nm" in err
 
     @pytest.mark.parametrize("flag, spec", [
         ("--values", "0.5:1e8:1e-9"),

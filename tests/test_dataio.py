@@ -12,17 +12,13 @@ from biphoton_cavity import (
     CavityModel,
     FrequencyGrid,
     SweepPlan,
-    export_curve,
-    export_jsi,
-    export_sweep,
     ingest_measured_jsi,
-    jsi_of,
     measured_entropy,
     omega_from_wavelength,
-    one_sided_transfer,
     parse_config_text,
-    run_coupling_sweep,
     run_single,
+    run_sweep,
+    transfer_for,
     wavelength_from_omega,
 )
 from biphoton_cavity import _blockfmt, dataio
@@ -38,17 +34,18 @@ class TestJsiRoundTrip:
     def test_intensity_round_trips_within_print_precision(self, tmp_path):
         state = make_input_state(points=32)
         path = tmp_path / "jsi.csv"
-        export_jsi(state, path)
+        dataio.write_lines(path, render_jsi(state))
         measured = ingest_measured_jsi(path)
         assert measured.intensity.shape == (32, 32)
-        np.testing.assert_allclose(measured.intensity, jsi_of(state), rtol=1e-8, atol=1e-300)
+        np.testing.assert_allclose(measured.intensity, np.abs(state.amplitude) ** 2,
+                                   rtol=1e-8, atol=1e-300)
         assert measured.amplitude is not None
         np.testing.assert_allclose(measured.amplitude, state.amplitude, rtol=1e-8, atol=1e-12)
 
     def test_axes_round_trip(self, tmp_path):
         state = make_input_state(points=16)
         path = tmp_path / "jsi.csv"
-        export_jsi(state, path)
+        dataio.write_lines(path, render_jsi(state))
         measured = ingest_measured_jsi(path)
         # exported in nm, decreasing along increasing omega
         np.testing.assert_allclose(
@@ -59,7 +56,7 @@ class TestJsiRoundTrip:
         config = parse_config_text("grid.points = 16")
         state = make_input_state(points=16)
         path = tmp_path / "jsi.csv"
-        export_jsi(state, path, config)
+        dataio.write_lines(path, render_jsi(state, config))
         text = path.read_text()
         assert text.startswith("# format: jsiv1\n")
         assert "# config.grid.points = 16" in text
@@ -69,7 +66,7 @@ class TestJsiRoundTrip:
     def test_entropy_from_round_trip_matches(self, tmp_path):
         state = make_input_state(points=48)
         path = tmp_path / "jsi.csv"
-        export_jsi(state, path)
+        dataio.write_lines(path, render_jsi(state))
         measured = ingest_measured_jsi(path)
         entropy, flags = measured_entropy(measured)
         assert flags == ()
@@ -78,8 +75,8 @@ class TestJsiRoundTrip:
     def test_deterministic_bytes(self, tmp_path):
         state = make_input_state(points=16)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_jsi(state, a)
-        export_jsi(state, b)
+        dataio.write_lines(a, render_jsi(state))
+        dataio.write_lines(b, render_jsi(state))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -151,8 +148,8 @@ class TestFormatBlock:
         assert _block_texts(values) == [format(float(x), ".9g") for x in values]
 
     def test_curve_lines_match_per_cell_format(self):
-        curve = one_sided_transfer(CavityModel(kind="one_sided", omega_0=2.75, gamma=0.01),
-                                   np.linspace(2.7, 2.8, 37))
+        curve = transfer_for(CavityModel(kind="one_sided", omega_0=2.75, gamma=0.01),
+                             np.linspace(2.7, 2.8, 37))
         nm = wavelength_from_omega(curve.axis)
         expected = [",".join(format(float(x), ".9g") for x in (
             nm[j], curve.values[j].real, curve.values[j].imag, curve.transmission[j],
@@ -320,9 +317,9 @@ class TestCurveExport:
     def test_one_sided_curve_has_unit_transmission_column(self, tmp_path):
         model = CavityModel(kind="one_sided", omega_0=omega_from_wavelength(685.0), gamma=1 / 150)
         axis = np.linspace(2.70, 2.80, 33)
-        curve = one_sided_transfer(model, axis)
+        curve = transfer_for(model, axis)
         path = tmp_path / "curve.csv"
-        export_curve(curve, path)
+        dataio.write_lines(path, render_curve(curve))
         rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
         assert len(rows) == 33
         for row in rows:
@@ -330,21 +327,21 @@ class TestCurveExport:
 
     def test_format_header(self, tmp_path):
         model = CavityModel(kind="two_sided", omega_0=2.75, gamma=0.01)
-        curve = one_sided_transfer(
+        curve = transfer_for(
             CavityModel(kind="one_sided", omega_0=2.75, gamma=0.01), np.linspace(2.7, 2.8, 5)
         )
         path = tmp_path / "curve.csv"
-        export_curve(curve, path)
+        dataio.write_lines(path, render_curve(curve))
         assert path.read_text().startswith("# format: curvev1\n")
 
 
 class TestSweepExport:
     def test_row_count(self, tmp_path):
         plan = SweepPlan(small_config(), "coupling_ratio", (0.6, 1.0, 1.4),
-                         series_parameter="cavity_detuning_nm", series_values=(-2.0, 0.0))
-        result = run_coupling_sweep(plan)
+                         series_values=(-2.0, 0.0))
+        result = run_sweep(plan)
         path = tmp_path / "sweep.csv"
-        export_sweep(result, path)
+        dataio.write_lines(path, render_sweep(result))
         text = path.read_text()
         rows = [line for line in text.splitlines() if not line.startswith("#")]
         assert len(rows) == 6  # |series| x |values|
@@ -353,9 +350,8 @@ class TestSweepExport:
         assert "# reference.empty_cavity_entropy_nats" in text
 
     def test_deterministic(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (0.8, 1.2),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
-        assert render_sweep(run_coupling_sweep(plan)) == render_sweep(run_coupling_sweep(plan))
+        plan = SweepPlan(small_config(), "coupling_ratio", (0.8, 1.2), series_values=(0.0,))
+        assert render_sweep(run_sweep(plan)) == render_sweep(run_sweep(plan))
 
 
 class TestAtomicWrites:
@@ -363,7 +359,7 @@ class TestAtomicWrites:
         state = make_input_state(points=8)
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError):
-            export_jsi(state, target)
+            dataio.write_lines(target, render_jsi(state))
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -381,7 +377,7 @@ class TestAtomicWrites:
 
     def test_no_stray_temp_files(self, tmp_path):
         state = make_input_state(points=8)
-        export_jsi(state, tmp_path / "out.csv")
+        dataio.write_lines(tmp_path / "out.csv", render_jsi(state))
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["out.csv"]
 
@@ -405,7 +401,7 @@ class TestStreaming:
     def reference_export(self, tmp_path_factory):
         state = make_input_state(points=512)
         path = tmp_path_factory.mktemp("streaming") / "jsi.csv"
-        return path, _traced_peak(lambda: export_jsi(state, path))
+        return path, _traced_peak(lambda: dataio.write_lines(path, render_jsi(state)))
 
     def test_export_peak_below_quarter_of_file(self, reference_export):
         path, peak = reference_export
@@ -453,7 +449,8 @@ class TestStreaming:
         assert main(["state", "--config", str(cfg)]) == 0
         stdout = capsysbinary.readouterr().out
         config = load_config(cfg)
-        export_jsi(run_single(config).input_state, tmp_path / "state.csv", config)
+        dataio.write_lines(tmp_path / "state.csv",
+                           render_jsi(run_single(config).input_state, config))
         assert (tmp_path / "state.csv").read_bytes() == stdout
 
 

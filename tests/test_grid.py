@@ -5,7 +5,6 @@ from biphoton_cavity import (
     C_NM_PER_FS,
     FrequencyGrid,
     bandwidth_nm_to_rad_fs,
-    bandwidth_rad_fs_to_nm,
     build_grid,
     omega_from_wavelength,
     wavelength_from_omega,
@@ -78,10 +77,6 @@ class TestBandwidthConversion:
         base = bandwidth_nm_to_rad_fs(1.0, 685.0)
         for f in rng.uniform(0.1, 30.0, 50):
             assert bandwidth_nm_to_rad_fs(f, 685.0) == pytest.approx(f * base, rel=1e-12)
-
-    def test_inverse(self):
-        w = bandwidth_nm_to_rad_fs(8.0, 685.0)
-        assert bandwidth_rad_fs_to_nm(w, 685.0) == pytest.approx(8.0, rel=1e-14)
 
 
 class TestBuildGrid:

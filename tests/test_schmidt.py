@@ -6,7 +6,6 @@ import pytest
 from biphoton_cavity import (
     BiphotonAmplitude,
     build_grid,
-    entropy_delta,
     entropy_of,
     entropy_oracle,
     normalize,
@@ -143,12 +142,12 @@ class TestEntropyInvariances:
 class TestEntropyDelta:
     def test_identical_states(self):
         state = make_input_state(points=48)
-        assert entropy_delta(state, state) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_of(state) - entropy_of(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_scaling_cancels(self):
         state = make_input_state(points=48)
         scaled = BiphotonAmplitude(grid=state.grid, amplitude=0.125 * state.amplitude)
-        assert entropy_delta(state, scaled) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_of(scaled) - entropy_of(state) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGridStability:

@@ -9,10 +9,8 @@ from biphoton_cavity import (
     find_entropy_crossing,
     omega_from_wavelength,
     parse_config_text,
-    run_coupling_sweep,
-    run_detuning_sweep,
-    run_pump_bandwidth_sweep,
     run_single,
+    run_sweep,
     run_with_model,
     transfer_for,
 )
@@ -52,17 +50,20 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SweepPlan(small_config(), "pump_bandwidth_nm", (-1.0, 1.0))
 
-    def test_series_needs_values(self):
-        with pytest.raises(ValueError):
-            SweepPlan(small_config(), "coupling_ratio", (1.0,), series_parameter="cavity_detuning_nm")
+    def test_rejects_too_wide_pump_bandwidth(self):
+        # half the down-converted center is where the pump spec itself gives up
+        with pytest.raises(ValueError, match=r"pump_bandwidth_nm value 400 .*pump\.center_down_nm"):
+            SweepPlan(small_config(), "pump_bandwidth_nm", (1.0, 400.0))
+        with pytest.raises(ValueError, match="pump.center_down_nm"):
+            SweepPlan(small_config(), "pump_bandwidth_nm", (342.5,))
+        assert SweepPlan(small_config(), "pump_bandwidth_nm", (342.4,)).values == (342.4,)
 
 
 class TestCouplingSweep:
     def test_single_value_matches_direct_run(self):
         config = small_config()
-        plan = SweepPlan(config, "coupling_ratio", (1.0,),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
-        result = run_coupling_sweep(plan)
+        plan = SweepPlan(config, "coupling_ratio", (1.0,), series_values=(0.0,))
+        result = run_sweep(plan)
         assert len(result.rows) == 1
         direct = run_single(config)  # zero detuning: center == emitter
         assert result.rows[0].entropy == pytest.approx(direct.output_entropy, abs=1e-12)
@@ -70,47 +71,53 @@ class TestCouplingSweep:
 
     def test_deterministic(self):
         plan = SweepPlan(small_config(), "coupling_ratio", (0.6, 1.0, 1.4),
-                         series_parameter="cavity_detuning_nm", series_values=(-2.0, 0.0))
-        a = run_coupling_sweep(plan)
-        b = run_coupling_sweep(plan)
+                         series_values=(-2.0, 0.0))
+        a = run_sweep(plan)
+        b = run_sweep(plan)
         assert a.rows == b.rows
         assert a.input_entropy == b.input_entropy
 
     def test_row_count_and_order(self):
         plan = SweepPlan(small_config(), "coupling_ratio", (0.6, 1.0, 1.4),
-                         series_parameter="cavity_detuning_nm", series_values=(-2.0, 0.0, 2.0))
-        result = run_coupling_sweep(plan)
+                         series_values=(-2.0, 0.0, 2.0))
+        result = run_sweep(plan)
         assert len(result.rows) == 9
         keys = [(r.series_value, r.sweep_value) for r in result.rows]
         assert keys == sorted(keys)
 
     def test_entropy_ordering_across_threshold(self):
         # weak coupling suppresses the entropy, strong coupling raises it
-        plan = SweepPlan(small_config(), "coupling_ratio", (0.6, 2.0),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
-        result = run_coupling_sweep(plan)
+        plan = SweepPlan(small_config(), "coupling_ratio", (0.6, 2.0), series_values=(0.0,))
+        result = run_sweep(plan)
         low, high = result.rows[0], result.rows[1]
         assert low.entropy < result.input_entropy < high.entropy
 
     def test_weak_coupling_rows_flagged(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (0.4, 1.0),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
-        result = run_coupling_sweep(plan)
+        plan = SweepPlan(small_config(), "coupling_ratio", (0.4, 1.0), series_values=(0.0,))
+        result = run_sweep(plan)
         assert "weak_coupling" in result.rows[0].flags
         assert "weak_coupling" not in result.rows[1].flags
+
+    def test_series_values_imply_series_parameter(self):
+        plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0), series_values=(-2.0, 4.0))
+        assert plan.series_parameter == "cavity_detuning_nm"
+        result = run_sweep(plan)
+        assert [(r.series_value, r.sweep_value) for r in result.rows] == [
+            (-2.0, 1.0), (-2.0, 2.0), (4.0, 1.0), (4.0, 2.0)]
+        assert SweepPlan(small_config(), "coupling_ratio", (1.0,)).series_parameter is None
 
     def test_requires_dicke_config(self):
         config = small_config(kind="two_sided")
         plan = SweepPlan(config, "coupling_ratio", (1.0,))
         with pytest.raises(ValueError):
-            run_coupling_sweep(plan)
+            run_sweep(plan)
 
 
 class TestDetuningSweep:
     def test_zero_detuning_row_matches_direct(self):
         config = small_config()
         plan = SweepPlan(config, "cavity_detuning_nm", (-2.0, 0.0, 2.0))
-        result = run_detuning_sweep(plan)
+        result = run_sweep(plan)
         direct = run_single(config)
         zero_row = [r for r in result.rows if r.sweep_value == 0.0][0]
         assert zero_row.entropy == pytest.approx(direct.output_entropy, abs=1e-12)
@@ -118,13 +125,13 @@ class TestDetuningSweep:
     def test_symmetric_detunings_nearly_equal(self):
         # pump and filters symmetric about the emitter line
         plan = SweepPlan(small_config(), "cavity_detuning_nm", (-2.0, 2.0))
-        result = run_detuning_sweep(plan)
+        result = run_sweep(plan)
         assert result.rows[0].entropy == pytest.approx(result.rows[1].entropy, abs=0.01)
 
     def test_emitter_stays_fixed(self):
         config = small_config()
         plan = SweepPlan(config, "cavity_detuning_nm", (-4.0, 4.0))
-        result = run_detuning_sweep(plan)
+        result = run_sweep(plan)
         emitter_omega = omega_from_wavelength(config.cavity.emitter_nm)
         # detuned runs differ from each other but share the emitter zero
         assert result.rows[0].entropy != result.rows[1].entropy
@@ -140,16 +147,15 @@ class TestDetuningSweep:
 class TestPumpBandwidthSweep:
     def test_single_bandwidth_matches_direct(self):
         config = small_config()
-        plan = SweepPlan(config, "pump_bandwidth_nm", (6.0,),
-                         series_parameter="coupling_ratio", series_values=(1.0,))
-        result = run_pump_bandwidth_sweep(plan)
+        plan = SweepPlan(config, "pump_bandwidth_nm", (6.0,), series_values=(1.0,))
+        result = run_sweep(plan)
         direct = run_single(config)
         assert result.rows[0].entropy == pytest.approx(direct.output_entropy, abs=1e-12)
 
     def test_reference_rows_per_bandwidth(self):
         plan = SweepPlan(small_config(), "pump_bandwidth_nm", (3.0, 6.0, 9.0),
-                         series_parameter="coupling_ratio", series_values=(1.0, 2.0))
-        result = run_pump_bandwidth_sweep(plan)
+                         series_values=(1.0, 2.0))
+        result = run_sweep(plan)
         assert len(result.rows) == 6
         kinds = {(r.kind, r.sweep_value) for r in result.reference_rows}
         assert len(result.reference_rows) == 6
@@ -157,8 +163,8 @@ class TestPumpBandwidthSweep:
 
     def test_input_entropy_decreases_with_bandwidth(self):
         plan = SweepPlan(small_config(), "pump_bandwidth_nm", (1.0, 3.0, 6.0, 9.0),
-                         series_parameter="coupling_ratio", series_values=(1.0,))
-        result = run_pump_bandwidth_sweep(plan)
+                         series_values=(1.0,))
+        result = run_sweep(plan)
         inputs = [r.entropy for r in result.reference_rows if r.kind == "input"]
         assert all(b < a for a, b in zip(inputs, inputs[1:]))
 
@@ -186,22 +192,19 @@ class TestSweepTable:
 
     def test_detuned_points(self):
         config = small_config()
-        result = run_detuning_sweep(SweepPlan(
-            config, "cavity_detuning_nm", (-2.5, 3.0),
-            series_parameter="coupling_ratio", series_values=(1.5,)))
+        result = run_sweep(SweepPlan(
+            config, "cavity_detuning_nm", (-2.5, 3.0), series_values=(1.5,)))
         for row in result.rows:
             self.check_row(row, config, 1.5, row.sweep_value)
-        result = run_coupling_sweep(SweepPlan(
-            config, "coupling_ratio", (0.8,),
-            series_parameter="cavity_detuning_nm", series_values=(2.5,)))
+        result = run_sweep(SweepPlan(
+            config, "coupling_ratio", (0.8,), series_values=(2.5,)))
         self.check_row(result.rows[0], config, 0.8, 2.5)
         assert result.reference_rows == ()
 
     def test_pump_bandwidth_points_use_their_own_input(self):
         config = small_config()
-        result = run_pump_bandwidth_sweep(SweepPlan(
-            config, "pump_bandwidth_nm", (3.0, 9.0),
-            series_parameter="coupling_ratio", series_values=(2.0,)))
+        result = run_sweep(SweepPlan(
+            config, "pump_bandwidth_nm", (3.0, 9.0), series_values=(2.0,)))
         inputs = {r.sweep_value: r.entropy for r in result.reference_rows if r.kind == "input"}
         for row in result.rows:
             point = dataclasses.replace(
@@ -210,18 +213,12 @@ class TestSweepTable:
             assert inputs[row.sweep_value] == pytest.approx(direct.input_entropy, abs=1e-12)
         assert result.input_entropy == pytest.approx(run_single(config).input_entropy, abs=1e-12)
 
-    def test_series_must_match_table(self):
-        with pytest.raises(ValueError, match="series must be coupling_ratio"):
-            SweepPlan(small_config(), "pump_bandwidth_nm", (1.0,),
-                      series_parameter="cavity_detuning_nm", series_values=(0.0,))
-
 
 class TestCrossing:
     def test_crossing_found_in_real_sweep(self):
         plan = SweepPlan(small_config(), "coupling_ratio",
-                         tuple(np.arange(0.5, 2.01, 0.25)),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
-        result = run_coupling_sweep(plan)
+                         tuple(np.arange(0.5, 2.01, 0.25)), series_values=(0.0,))
+        result = run_sweep(plan)
         crossing = find_entropy_crossing(result, 0.0)
         assert crossing is not None
         assert not crossing.boundary
@@ -231,17 +228,14 @@ class TestCrossing:
         coarse_vals = tuple(np.arange(0.5, 2.01, 0.25))
         fine_vals = tuple(np.arange(0.5, 2.01, 0.125))
         config = small_config()
-        coarse = find_entropy_crossing(run_coupling_sweep(
-            SweepPlan(config, "coupling_ratio", coarse_vals,
-                      series_parameter="cavity_detuning_nm", series_values=(0.0,))), 0.0)
-        fine = find_entropy_crossing(run_coupling_sweep(
-            SweepPlan(config, "coupling_ratio", fine_vals,
-                      series_parameter="cavity_detuning_nm", series_values=(0.0,))), 0.0)
+        coarse = find_entropy_crossing(run_sweep(
+            SweepPlan(config, "coupling_ratio", coarse_vals, series_values=(0.0,))), 0.0)
+        fine = find_entropy_crossing(run_sweep(
+            SweepPlan(config, "coupling_ratio", fine_vals, series_values=(0.0,))), 0.0)
         assert abs(coarse.value - fine.value) < 0.25
 
     def test_boundary_flag_when_all_above(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
+        plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0), series_values=(0.0,))
         rows = tuple(
             SweepRow(series_value=0.0, sweep_value=v, entropy=1.0, delta_vs_input=0.5)
             for v in (1.0, 2.0)
@@ -252,8 +246,7 @@ class TestCrossing:
         assert crossing.boundary and crossing.value == 1.0
 
     def test_no_crossing_returns_none(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
+        plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0), series_values=(0.0,))
         rows = tuple(
             SweepRow(series_value=0.0, sweep_value=v, entropy=0.1, delta_vs_input=-0.5)
             for v in (1.0, 2.0)
@@ -263,9 +256,8 @@ class TestCrossing:
         assert find_entropy_crossing(synthetic, 0.0) is None
 
     def test_needs_two_rows(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (1.0,),
-                         series_parameter="cavity_detuning_nm", series_values=(0.0,))
-        result = run_coupling_sweep(plan)
+        plan = SweepPlan(small_config(), "coupling_ratio", (1.0,), series_values=(0.0,))
+        result = run_sweep(plan)
         with pytest.raises(ValueError):
             find_entropy_crossing(result, 0.0)
 
