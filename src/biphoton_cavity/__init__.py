@@ -17,7 +17,6 @@ from .grid import (
     omega_from_wavelength,
     wavelength_from_omega,
 )
-from .pipeline import run_single, run_with_model
 from .schmidt import SchmidtSpectrum, entropy_of, entropy_oracle, normalize, schmidt_decompose
 from .state import (
     BiphotonAmplitude,
@@ -67,9 +66,7 @@ __all__ = [
     "parse_config_text",
     "phase_matching_envelope",
     "pump_envelope",
-    "run_single",
     "run_sweep",
-    "run_with_model",
     "schmidt_decompose",
     "transfer_for",
     "wavelength_from_omega",

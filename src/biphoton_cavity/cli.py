@@ -13,8 +13,11 @@ import sys
 import numpy as np
 
 from . import dataio
+from .cavity import transfer_for
 from .config import ConfigError, apply_overrides, load_config
-from .pipeline import run_single
+from .pipeline import cavity_model_from_config, grid_from_config, input_state_from_config
+from .schmidt import entropy_of
+from .state import apply_idler_transfer
 from .sweep import SWEEPS, SweepPlan, run_sweep
 
 OUT_DIR_ENV = "BIPHOTON_CAVITY_OUT_DIR"
@@ -80,17 +83,18 @@ def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
 
 def _cmd_state(args) -> int:
     config = _load(args)
-    run = run_single(config)
-    _emit(dataio.render_jsi(run.input_state, config), _resolve_out(args.out))
+    _emit(dataio.render_jsi(input_state_from_config(config), config), _resolve_out(args.out))
     return 0
 
 
 def _cmd_transmit(args) -> int:
     config = _load(args)
-    run = run_single(config)
-    _emit(dataio.render_jsi(run.output_state, config), _resolve_out(args.out))
+    grid = grid_from_config(config)
+    curve = transfer_for(cavity_model_from_config(config), grid.idler_axis)
+    output = apply_idler_transfer(input_state_from_config(config, grid), curve)
+    _emit(dataio.render_jsi(output, config), _resolve_out(args.out))
     if args.curve_out:
-        _emit(dataio.render_curve(run.curve, config), _resolve_out(args.curve_out))
+        _emit(dataio.render_curve(curve, config), _resolve_out(args.curve_out))
     return 0
 
 
@@ -104,8 +108,7 @@ def _cmd_entropy(args) -> int:
         if flags:
             lines.append(f"# flags: {';'.join(flags)}")
     else:
-        run = run_single(config)
-        entropy = run.input_entropy
+        entropy = entropy_of(input_state_from_config(config))
     if args.bits:
         lines.append(f"entropy_bits = {entropy / math.log(2.0):.9g}")
     else:

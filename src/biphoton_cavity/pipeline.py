@@ -1,17 +1,13 @@
-"""Glue from a SimConfig to grids, states, cavity models and entropies."""
-
-from dataclasses import dataclass
-from functools import cached_property
+"""Glue from a SimConfig to its grid, input state and cavity model."""
 
 import numpy as np
 
-from .cavity import CavityModel, TransferCurve, transfer_for
+from .cavity import CavityModel
 from .config import ConfigError, SimConfig
 from .grid import FrequencyGrid, build_grid, omega_from_wavelength
-from .schmidt import entropy_of, state_norm
+from .schmidt import state_norm
 from .state import (
     BiphotonAmplitude,
-    apply_idler_transfer,
     compose_input_state,
     detection_filter_profile,
     phase_matching_envelope,
@@ -37,9 +33,9 @@ def input_state_from_config(config: SimConfig, grid: FrequencyGrid | None = None
 def _zero_state_message(config: SimConfig, grid: FrequencyGrid) -> str:
     """Name the factor, and its config key, of an input state whose |F|^2 underflows."""
     factors = (
-        ("pump envelope", "pump.center_down_nm", pump_envelope(config.pump, grid).amplitude),
+        ("pump envelope", "pump.center_down_nm", pump_envelope(config.pump, grid)),
         ("phase-matching envelope", "phase_matching.width_nm",
-         phase_matching_envelope(config.phase_matching, grid).amplitude),
+         phase_matching_envelope(config.phase_matching, grid)),
         ("signal filter", "filters.signal.center_nm",
          detection_filter_profile(config.signal_filter, grid.signal_axis)),
         ("idler filter", "filters.idler.center_nm",
@@ -64,8 +60,9 @@ def cavity_model_from_config(
 ) -> CavityModel:
     """The configured cavity, with optional kind and coupling_ratio overrides.
 
-    A detuning_nm places the cavity mode relative to the emitter line
-    (detuned_cavity_center_omega) instead of at cavity.center_nm.
+    A detuning_nm places the cavity mode that far from the emitter line, to
+    first order at the emitter wavelength (|d omega / d lambda| =
+    omega/lambda; positive is higher frequency), instead of at cavity.center_nm.
     """
     c = config.cavity
     kind = c.kind if kind is None else kind
@@ -73,7 +70,8 @@ def cavity_model_from_config(
     if detuning_nm is None:
         omega_0 = omega_from_wavelength(c.center_nm)
     else:
-        omega_0 = detuned_cavity_center_omega(c.emitter_nm, detuning_nm)
+        emitter_omega = omega_from_wavelength(c.emitter_nm)
+        omega_0 = emitter_omega + detuning_nm * (emitter_omega / c.emitter_nm)
     gamma = 1.0 / c.lifetime_fs
     return CavityModel(
         kind=kind,
@@ -83,53 +81,3 @@ def cavity_model_from_config(
         omega_e=omega_from_wavelength(c.emitter_nm) if kind == "dicke" else None,
         gamma_e=c.emitter_damping_ratio * gamma if kind == "dicke" else 0.0,
     )
-
-
-@dataclass(frozen=True)
-class SingleRun:
-    """Input and transformed states for one configuration.
-
-    The entropies are computed on first access, so runs that only export
-    states or curves do no Schmidt decomposition.
-    """
-
-    input_state: BiphotonAmplitude
-    output_state: BiphotonAmplitude
-    curve: TransferCurve
-
-    @cached_property
-    def input_entropy(self) -> float:
-        return entropy_of(self.input_state)
-
-    @cached_property
-    def output_entropy(self) -> float:
-        return entropy_of(self.output_state)
-
-    @property
-    def entropy_delta(self) -> float:
-        return self.output_entropy - self.input_entropy
-
-
-def run_with_model(config: SimConfig, model: CavityModel) -> SingleRun:
-    """Compose the input state and apply the given cavity model."""
-    grid = grid_from_config(config)
-    state = input_state_from_config(config, grid)
-    curve = transfer_for(model, grid.idler_axis)
-    output = apply_idler_transfer(state, curve)
-    return SingleRun(input_state=state, output_state=output, curve=curve)
-
-
-def run_single(config: SimConfig) -> SingleRun:
-    """Compose the input state and apply the configured cavity."""
-    return run_with_model(config, cavity_model_from_config(config))
-
-
-def detuned_cavity_center_omega(emitter_nm: float, detuning_nm: float) -> float:
-    """Cavity mode frequency displaced from the emitter line by detuning_nm.
-
-    The nm offset converts at the emitter wavelength to first order
-    (|d omega / d lambda| = omega/lambda); positive detuning shifts the
-    cavity to higher frequency.
-    """
-    emitter_omega = omega_from_wavelength(emitter_nm)
-    return emitter_omega + detuning_nm * (emitter_omega / emitter_nm)

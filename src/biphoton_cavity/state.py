@@ -114,32 +114,29 @@ class BiphotonAmplitude:
         object.__setattr__(self, "amplitude", amp)
 
 
-def pump_envelope(pump: PumpSpec, grid: FrequencyGrid) -> BiphotonAmplitude:
+def pump_envelope(pump: PumpSpec, grid: FrequencyGrid) -> np.ndarray:
     """Gaussian envelope exp(-(omega_s + omega_i - omega_p)^2 / (4 sigma_p^2)).
 
     Real, in (0, 1], equal to 1 exactly on the anti-diagonal
     omega_s + omega_i = omega_p.
     """
     u = grid.signal_axis[:, None] + grid.idler_axis[None, :] - pump.sum_frequency
-    env = np.exp(-(u**2) / (4.0 * pump.sigma**2))
-    return BiphotonAmplitude(grid=grid, amplitude=env.astype(complex))
+    return np.exp(-(u**2) / (4.0 * pump.sigma**2))
 
 
-def phase_matching_envelope(pm: PhaseMatchingSpec, grid: FrequencyGrid) -> BiphotonAmplitude:
+def phase_matching_envelope(pm: PhaseMatchingSpec, grid: FrequencyGrid) -> np.ndarray:
     """Phase-matching factor: all ones, or a Gaussian in omega_s - omega_i.
 
     The gaussian kind converts width_nm at the wavelength of the grid center
     frequency and peaks at 1 on the diagonal omega_s = omega_i.
     """
     if pm.kind == "flat":
-        env = np.ones((grid.n_signal, grid.n_idler))
-    else:
-        center_omega = 0.5 * (grid.signal_axis[0] + grid.signal_axis[-1])
-        width = bandwidth_nm_to_rad_fs(pm.width_nm, wavelength_from_omega(center_omega))
-        sigma = width / _FWHM_GAUSS
-        v = grid.signal_axis[:, None] - grid.idler_axis[None, :]
-        env = np.exp(-(v**2) / (4.0 * sigma**2))
-    return BiphotonAmplitude(grid=grid, amplitude=env.astype(complex))
+        return np.ones((grid.n_signal, grid.n_idler))
+    center_omega = 0.5 * (grid.signal_axis[0] + grid.signal_axis[-1])
+    width = bandwidth_nm_to_rad_fs(pm.width_nm, wavelength_from_omega(center_omega))
+    sigma = width / _FWHM_GAUSS
+    v = grid.signal_axis[:, None] - grid.idler_axis[None, :]
+    return np.exp(-(v**2) / (4.0 * sigma**2))
 
 
 def detection_filter_profile(filt: FilterSpec, axis: np.ndarray) -> np.ndarray:
@@ -168,8 +165,8 @@ def compose_input_state(
     spectral intensity factorizes into their squared moduli.  The result is
     real and non-negative under the default (flat) phase matching.
     """
-    a = pump_envelope(pump, grid).amplitude
-    phi = phase_matching_envelope(pm, grid).amplitude
+    a = pump_envelope(pump, grid)
+    phi = phase_matching_envelope(pm, grid)
     gs = detection_filter_profile(signal_filter, grid.signal_axis)
     gi = detection_filter_profile(idler_filter, grid.idler_axis)
     amp = a * phi * gs[:, None] * gi[None, :]

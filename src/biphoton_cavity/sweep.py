@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import transfer_for
+from .cavity import CavityModel, transfer_for
 from .config import SimConfig
 from .pipeline import cavity_model_from_config, grid_from_config, input_state_from_config
 from .schmidt import entropy_of
@@ -57,7 +57,8 @@ SWEEP_PARAMETERS = tuple(SWEEPS)
 @dataclass(frozen=True)
 class SweepPlan:
     """A swept parameter, its values, and optional values of the series
-    parameter that the swept parameter implies (SWEEPS)."""
+    parameter that the swept parameter implies (SWEEPS).  Construction
+    builds every point's cavity model, so a bad value fails up front."""
 
     base_config: SimConfig
     swept_parameter: str
@@ -80,6 +81,7 @@ class SweepPlan:
                              f"pump.center_down_nm ({center:g})")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_values", tuple(float(v) for v in self.series_values))
+        _point_models(self)
 
     @property
     def series_parameter(self) -> str | None:
@@ -126,22 +128,44 @@ class Crossing:
     boundary: bool = False
 
 
+def _point_models(plan: SweepPlan) -> dict[float, list[tuple[float, CavityModel]]]:
+    """Each sweep value's (series value, dicke model) pairs, in row order; the
+    cavity mode sits at cavity_detuning_nm (default 0) from the emitter line.
+    An invalid model raises a ValueError that names the point's values."""
+    spec = SWEEPS[plan.swept_parameter]
+    series_arg = SWEEPS[spec.series_parameter].cavity_arg
+    cavity_args = {"coupling_ratio": plan.base_config.cavity.coupling_ratio, "detuning_nm": 0.0}
+    series = plan.series_values or (cavity_args[series_arg],)
+    models = {}
+    try:
+        for value in plan.values:
+            if spec.cavity_arg is not None:
+                cavity_args[spec.cavity_arg] = value
+            models[value] = []
+            for series_value in series:
+                cavity_args[series_arg] = series_value
+                model = cavity_model_from_config(plan.base_config, kind="dicke", **cavity_args)
+                models[value].append((series_value, model))
+    except ValueError as exc:
+        named = f"{plan.swept_parameter} value {value:g}, " if spec.cavity_arg is not None else ""
+        raise ValueError(f"{named}{spec.series_parameter} value {series_value:g}: {exc}") from None
+    return models
+
+
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Entropy of the dicke-transformed state at every (series, sweep) point.
 
-    The base config must select a dicke cavity; the cavity mode sits at
-    cavity_detuning_nm (default 0) from the emitter line.  Each distinct
-    input state is composed once, and delta_vs_input is taken against the
-    point's own input state.  When the swept parameter changes the input
-    state, per-value input and empty-cavity reference rows are added.
+    The base config must select a dicke cavity; the cavity models are the
+    plan's (_point_models).  Each distinct input state is composed once, and
+    delta_vs_input is taken against the point's own input state.  When the
+    swept parameter changes the input state, per-value input and
+    empty-cavity reference rows are added.
     """
     spec = SWEEPS[plan.swept_parameter]
     base = plan.base_config
     if base.cavity.kind != "dicke":
         raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base config")
-    series_arg = SWEEPS[spec.series_parameter].cavity_arg
-    cavity_args = {"coupling_ratio": base.cavity.coupling_ratio, "detuning_nm": 0.0}
-    series = plan.series_values or (cavity_args[series_arg],)
+    point_models = _point_models(plan)
 
     grid = grid_from_config(base)
     empty_curve = transfer_for(cavity_model_from_config(base, kind="two_sided"), grid.idler_axis)
@@ -155,18 +179,14 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     reference_rows = []
     for value in plan.values:
         state, s_in = base_state, input_entropy
-        if spec.cavity_arg is not None:
-            cavity_args[spec.cavity_arg] = value
-        else:
+        if spec.cavity_arg is None:
             config = dataclasses.replace(
                 base, pump=dataclasses.replace(base.pump, bandwidth_nm=value)
             )
             state, s_in, s_empty = measure_input(config)
             reference_rows.append(ReferenceRow("input", value, s_in))
             reference_rows.append(ReferenceRow("empty_cavity", value, s_empty))
-        for series_value in series:
-            cavity_args[series_arg] = series_value
-            model = cavity_model_from_config(base, kind="dicke", **cavity_args)
+        for series_value, model in point_models[value]:
             curve = transfer_for(model, grid.idler_axis)
             entropy = entropy_of(apply_idler_transfer(state, curve))
             rows.append(

@@ -100,16 +100,17 @@ ORACLE_TOL = 1e-9
 C_NM_PER_FS = 299.792458
 
 
-def gaussian_coefficients(convention="at_degeneracy"):
-    """(a, b) for the 685 nm / 6 nm pump / 8 nm filter reference state."""
+def gaussian_coefficients(convention="at_degeneracy", pump_nm=6.0, filter_nm=8.0):
+    """(a, b) for a 685 nm state with centred, equal filters; the defaults
+    give the 6 nm pump / 8 nm filter reference state."""
     def width(fwhm_nm, at_nm):
         return 2.0 * np.pi * C_NM_PER_FS * fwhm_nm / at_nm**2
 
     pump_at = 685.0 if convention == "at_degeneracy" else 685.0 / 2.0
     # The pump intensity exp(-u^2/(2 sigma_p^2)) and the filter amplitude
     # exp(-y^2/sigma_f^2) each have the configured FWHM.
-    sigma_p = width(6.0, pump_at) / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-    sigma_f = width(8.0, 685.0) / (2.0 * np.sqrt(np.log(2.0)))
+    sigma_p = width(pump_nm, pump_at) / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    sigma_f = width(filter_nm, 685.0) / (2.0 * np.sqrt(np.log(2.0)))
     return 1.0 / (4.0 * sigma_p**2), 1.0 / sigma_f**2
 
 

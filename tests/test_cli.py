@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from biphoton_cavity import ingest_measured_jsi, run_single
+from biphoton_cavity import entropy_of, ingest_measured_jsi
 from biphoton_cavity.cli import main
 from biphoton_cavity.config import load_config
+from biphoton_cavity.pipeline import input_state_from_config
+from conftest import transmitted_state
 
 SMALL_CFG = """
 grid.points = 64
@@ -24,7 +26,7 @@ class TestEntropyCommand:
         out = capsys.readouterr().out
         line = [l for l in out.splitlines() if l.startswith("entropy_nats")][0]
         value = float(line.split("=")[1])
-        expected = run_single(load_config(config_path)).input_entropy
+        expected = entropy_of(input_state_from_config(load_config(config_path)))
         assert value == pytest.approx(expected, rel=1e-8)
         assert "# config.grid.points = 64" in out
 
@@ -32,7 +34,7 @@ class TestEntropyCommand:
         assert main(["entropy", "--config", config_path, "--bits"]) == 0
         out = capsys.readouterr().out
         bits = float([l for l in out.splitlines() if l.startswith("entropy_bits")][0].split("=")[1])
-        nats = run_single(load_config(config_path)).input_entropy
+        nats = entropy_of(input_state_from_config(load_config(config_path)))
         assert bits == pytest.approx(nats / np.log(2.0), rel=1e-8)
 
 
@@ -44,7 +46,7 @@ class TestTransmitEntropyPipeline:
         assert main(["entropy", "--config", config_path, "--in", str(out_file)]) == 0
         out = capsys.readouterr().out
         value = float([l for l in out.splitlines() if l.startswith("entropy_nats")][0].split("=")[1])
-        expected = run_single(load_config(config_path)).output_entropy
+        expected = entropy_of(transmitted_state(load_config(config_path)))
         assert value == pytest.approx(expected, abs=1e-5)
 
     def test_curve_export(self, config_path, tmp_path):
@@ -197,6 +199,25 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "400" in err and "pump.center_down_nm" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep-pump", "--values=1,2", "--series=-1"], "coupling_ratio value -1"),
+        (["sweep-coupling", "--values=1", "--series=-700"], "cavity_detuning_nm value -700"),
+        (["sweep-detuning", "--values=-1000,1"], "cavity_detuning_nm value -1000"),
+        (["sweep-coupling", "--values=1e9"], "coupling_ratio value 1e+09"),
+    ])
+    def test_bad_cavity_values_refused_before_state_work(self, config_path, capsys, monkeypatch,
+                                                         argv, named):
+        import biphoton_cavity.pipeline as pipeline
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input state composed")
+
+        monkeypatch.setattr(pipeline, "compose_input_state", refuse)
+        argv = [*argv, "--config", config_path, "--cavity-override=kind=dicke"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+
     @pytest.mark.parametrize("flag, spec", [
         ("--values", "0.5:1e8:1e-9"),
         ("--series", "0:1e300:1e-300"),
@@ -288,6 +309,19 @@ class TestLazyEntropy:
         assert calls == []
         assert main(["entropy", "--config", config_path, "--out", str(tmp_path / "e.txt")]) == 0
         assert len(calls) == 1
+
+    def test_state_and_entropy_build_no_transfer(self, config_path, tmp_path, monkeypatch):
+        import biphoton_cavity.cli as cli
+        import biphoton_cavity.pipeline as pipeline
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("idler transfer built or applied")
+
+        for module in (cli, pipeline):
+            for name in ("transfer_for", "apply_idler_transfer"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert main(["state", "--config", config_path, "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["entropy", "--config", config_path, "--out", str(tmp_path / "e.txt")]) == 0
 
 
 class TestOutDirEnv:

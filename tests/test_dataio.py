@@ -16,7 +16,6 @@ from biphoton_cavity import (
     measured_entropy,
     omega_from_wavelength,
     parse_config_text,
-    run_single,
     run_sweep,
     transfer_for,
     wavelength_from_omega,
@@ -25,9 +24,10 @@ from biphoton_cavity import _blockfmt, dataio
 from biphoton_cavity.cli import main
 from biphoton_cavity.config import load_config
 from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_curve, render_jsi, render_sweep
+from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.schmidt import entropy_of
 from test_sweep import small_config
-from conftest import make_input_state
+from conftest import make_input_state, transmitted_state
 
 
 class TestJsiRoundTrip:
@@ -161,10 +161,10 @@ class TestFormatBlock:
         calls = []
         format_one = _blockfmt._format_one
         monkeypatch.setattr(_blockfmt, "_format_one", lambda x: calls.append(x) or format_one(x))
-        run = run_single(load_config(os.path.join(os.path.dirname(__file__), os.pardir,
-                                                  "configs", "reference.cfg")))
+        config = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                          "configs", "reference.cfg"))
         counts = []
-        for state in (run.input_state, run.output_state):
+        for state in (input_state_from_config(config), transmitted_state(config)):
             calls.clear()
             for _ in render_jsi(state):
                 pass
@@ -450,7 +450,7 @@ class TestStreaming:
         stdout = capsysbinary.readouterr().out
         config = load_config(cfg)
         dataio.write_lines(tmp_path / "state.csv",
-                           render_jsi(run_single(config).input_state, config))
+                           render_jsi(input_state_from_config(config), config))
         assert (tmp_path / "state.csv").read_bytes() == stdout
 
 

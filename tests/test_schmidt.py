@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biphoton_cavity import (
     BiphotonAmplitude,
@@ -10,10 +12,13 @@ from biphoton_cavity import (
     entropy_oracle,
     normalize,
     omega_from_wavelength,
+    parse_config_text,
     schmidt_decompose,
 )
+from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.schmidt import entropy_of_samples
 from conftest import make_input_state
+from test_acceptance import ORACLE_TOL, closed_form_entropy, gaussian_coefficients
 
 
 def random_state(rng, n=32):
@@ -185,3 +190,25 @@ class TestEntropyOfSamples:
         axis = np.array([1.0, 0.9, 1.2])
         with pytest.raises(ValueError):
             entropy_of_samples(axis, axis, np.ones((3, 3), dtype=complex))
+
+
+def boundary_mass(state):
+    """Share of |F|^2 on the outermost rows and columns of the grid."""
+    p = np.abs(state.amplitude) ** 2
+    edge = p[[0, -1], :].sum() + p[1:-1, [0, -1]].sum()
+    return float(edge / p.sum())
+
+
+class TestClosedFormProperty:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(pump_nm=st.floats(2.0, 10.0), filter_nm=st.floats(4.0, 12.0),
+           points=st.sampled_from([128, 192, 256]))
+    def test_input_entropy_matches_closed_form(self, pump_nm, filter_nm, points):
+        """Law, Walmsley & Eberly, PRL 84, 5304 (2000), on any resolved Gaussian state."""
+        config = parse_config_text(
+            f"grid.points = {points}\npump.bandwidth_nm = {pump_nm!r}\n"
+            f"filters.signal.fwhm_nm = {filter_nm!r}\nfilters.idler.fwhm_nm = {filter_nm!r}\n")
+        state = input_state_from_config(config)
+        assume(boundary_mass(state) <= 1e-12)
+        expected = closed_form_entropy(*gaussian_coefficients(pump_nm=pump_nm, filter_nm=filter_nm))
+        assert abs(entropy_of(state) - expected) < ORACLE_TOL

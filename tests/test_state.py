@@ -38,7 +38,7 @@ class TestPumpEnvelope:
     def test_peak_on_antidiagonal(self):
         pump = PumpSpec(685.0, 6.0, bandwidth_convention="at_pump")
         grid = _grid_around(pump.sum_frequency / 2.0, 0.02, n=5)
-        env = pump_envelope(pump, grid).amplitude
+        env = pump_envelope(pump, grid)
         # entries (i, n-1-i) all have omega_s + omega_i = omega_p
         n = grid.n_signal
         for i in range(n):
@@ -48,14 +48,14 @@ class TestPumpEnvelope:
     def test_symmetric_under_axis_swap(self):
         pump = PumpSpec(685.0, 6.0)
         grid = build_grid(685.0, 40.0, 64)
-        env = pump_envelope(pump, grid).amplitude
+        env = pump_envelope(pump, grid)
         np.testing.assert_array_equal(env, env.T)
 
     def test_half_intensity_point_at_pump_convention(self):
         pump = PumpSpec(685.0, 6.0, bandwidth_convention="at_pump")
         half_omega = pump.sum_frequency / 2.0
         grid = _grid_around(half_omega, HALF_PUMP_WIDTH_AT_PUMP, n=3)
-        env = pump_envelope(pump, grid).amplitude
+        env = pump_envelope(pump, grid)
         # entry (1, 2): omega_s + omega_i - omega_p = +half width
         assert np.abs(env[1, 2]) ** 2 == pytest.approx(0.5, abs=1e-9)
         assert np.abs(env[0, 1]) ** 2 == pytest.approx(0.5, abs=1e-9)
@@ -72,17 +72,17 @@ class TestPumpEnvelope:
 class TestPhaseMatchingEnvelope:
     def test_flat_is_all_ones(self):
         grid = build_grid(685.0, 40.0, 32)
-        env = phase_matching_envelope(PhaseMatchingSpec("flat"), grid).amplitude
+        env = phase_matching_envelope(PhaseMatchingSpec("flat"), grid)
         np.testing.assert_array_equal(env, np.ones((32, 32), dtype=complex))
 
     def test_gaussian_peaks_on_diagonal(self):
         grid = build_grid(685.0, 40.0, 33)
-        env = phase_matching_envelope(PhaseMatchingSpec("gaussian", width_nm=5.0), grid).amplitude
+        env = phase_matching_envelope(PhaseMatchingSpec("gaussian", width_nm=5.0), grid)
         assert np.all(np.abs(np.diagonal(env) - 1.0) < 1e-14)
 
     def test_gaussian_symmetric_under_swap(self):
         grid = build_grid(685.0, 40.0, 32)
-        env = phase_matching_envelope(PhaseMatchingSpec("gaussian", width_nm=5.0), grid).amplitude
+        env = phase_matching_envelope(PhaseMatchingSpec("gaussian", width_nm=5.0), grid)
         np.testing.assert_allclose(env, env.T, rtol=0.0, atol=1e-16)
 
     def test_rejects_nonpositive_width(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,16 +7,16 @@ import pytest
 from biphoton_cavity import (
     CavityModel,
     SweepPlan,
+    entropy_of,
     find_entropy_crossing,
     omega_from_wavelength,
     parse_config_text,
-    run_single,
     run_sweep,
-    run_with_model,
     transfer_for,
 )
-from biphoton_cavity.pipeline import cavity_model_from_config
+from biphoton_cavity.pipeline import cavity_model_from_config, input_state_from_config
 from biphoton_cavity.sweep import SweepResult, SweepRow
+from conftest import transmitted_state
 
 SMALL = """
 grid.points = 96
@@ -58,6 +59,17 @@ class TestPlanValidation:
             SweepPlan(small_config(), "pump_bandwidth_nm", (342.5,))
         assert SweepPlan(small_config(), "pump_bandwidth_nm", (342.4,)).values == (342.4,)
 
+    @pytest.mark.parametrize("swept, values, series, named, reason", [
+        ("pump_bandwidth_nm", (1.0, 2.0), (-1.0,), "coupling_ratio value -1", "lambda_c must be"),
+        ("coupling_ratio", (1.0,), (-700.0,), "cavity_detuning_nm value -700", "omega_0 must be"),
+        ("cavity_detuning_nm", (-1000.0, 1.0), (), "cavity_detuning_nm value -1000",
+         "omega_0 must be"),
+        ("coupling_ratio", (1e9,), (), "coupling_ratio value 1e+09", "Dicke critical point"),
+    ])
+    def test_rejects_bad_cavity_values_naming_them(self, swept, values, series, named, reason):
+        with pytest.raises(ValueError, match=rf"{re.escape(named)}\b.*: .*{reason}"):
+            SweepPlan(small_config(), swept, values, series_values=series)
+
 
 class TestCouplingSweep:
     def test_single_value_matches_direct_run(self):
@@ -65,9 +77,11 @@ class TestCouplingSweep:
         plan = SweepPlan(config, "coupling_ratio", (1.0,), series_values=(0.0,))
         result = run_sweep(plan)
         assert len(result.rows) == 1
-        direct = run_single(config)  # zero detuning: center == emitter
-        assert result.rows[0].entropy == pytest.approx(direct.output_entropy, abs=1e-12)
-        assert result.input_entropy == pytest.approx(direct.input_entropy, abs=1e-12)
+        # zero detuning: center == emitter
+        assert result.rows[0].entropy == pytest.approx(
+            entropy_of(transmitted_state(config)), abs=1e-12)
+        assert result.input_entropy == pytest.approx(
+            entropy_of(input_state_from_config(config)), abs=1e-12)
 
     def test_deterministic(self):
         plan = SweepPlan(small_config(), "coupling_ratio", (0.6, 1.0, 1.4),
@@ -118,9 +132,8 @@ class TestDetuningSweep:
         config = small_config()
         plan = SweepPlan(config, "cavity_detuning_nm", (-2.0, 0.0, 2.0))
         result = run_sweep(plan)
-        direct = run_single(config)
         zero_row = [r for r in result.rows if r.sweep_value == 0.0][0]
-        assert zero_row.entropy == pytest.approx(direct.output_entropy, abs=1e-12)
+        assert zero_row.entropy == pytest.approx(entropy_of(transmitted_state(config)), abs=1e-12)
 
     def test_symmetric_detunings_nearly_equal(self):
         # pump and filters symmetric about the emitter line
@@ -149,8 +162,8 @@ class TestPumpBandwidthSweep:
         config = small_config()
         plan = SweepPlan(config, "pump_bandwidth_nm", (6.0,), series_values=(1.0,))
         result = run_sweep(plan)
-        direct = run_single(config)
-        assert result.rows[0].entropy == pytest.approx(direct.output_entropy, abs=1e-12)
+        assert result.rows[0].entropy == pytest.approx(
+            entropy_of(transmitted_state(config)), abs=1e-12)
 
     def test_reference_rows_per_bandwidth(self):
         plan = SweepPlan(small_config(), "pump_bandwidth_nm", (3.0, 6.0, 9.0),
@@ -170,7 +183,7 @@ class TestPumpBandwidthSweep:
 
 
 class TestSweepTable:
-    """Sweep rows against run_with_model with hand-built cavity models."""
+    """Sweep rows against the direct steps with hand-built cavity models."""
 
     @staticmethod
     def dicke(config, ratio, detuning_nm):
@@ -185,10 +198,12 @@ class TestSweepTable:
         )
 
     def check_row(self, row, config, ratio, detuning_nm):
-        direct = run_with_model(config, self.dicke(config, ratio, detuning_nm))
-        assert row.entropy == pytest.approx(direct.output_entropy, abs=1e-12)
-        assert row.delta_vs_input == pytest.approx(direct.entropy_delta, abs=1e-12)
-        return direct
+        """Returns the point's input entropy."""
+        s_in = entropy_of(input_state_from_config(config))
+        s_out = entropy_of(transmitted_state(config, self.dicke(config, ratio, detuning_nm)))
+        assert row.entropy == pytest.approx(s_out, abs=1e-12)
+        assert row.delta_vs_input == pytest.approx(s_out - s_in, abs=1e-12)
+        return s_in
 
     def test_detuned_points(self):
         config = small_config()
@@ -209,9 +224,10 @@ class TestSweepTable:
         for row in result.rows:
             point = dataclasses.replace(
                 config, pump=dataclasses.replace(config.pump, bandwidth_nm=row.sweep_value))
-            direct = self.check_row(row, point, 2.0, 0.0)
-            assert inputs[row.sweep_value] == pytest.approx(direct.input_entropy, abs=1e-12)
-        assert result.input_entropy == pytest.approx(run_single(config).input_entropy, abs=1e-12)
+            s_in = self.check_row(row, point, 2.0, 0.0)
+            assert inputs[row.sweep_value] == pytest.approx(s_in, abs=1e-12)
+        assert result.input_entropy == pytest.approx(
+            entropy_of(input_state_from_config(config)), abs=1e-12)
 
 
 class TestCrossing:
@@ -273,6 +289,5 @@ class TestRunWithModel:
             lambda_c=gamma,
             omega_e=omega_from_wavelength(685.0),
         )
-        a = run_with_model(config, model)
-        b = run_single(config)
-        assert a.output_entropy == pytest.approx(b.output_entropy, abs=1e-12)
+        by_hand = entropy_of(transmitted_state(config, model))
+        assert by_hand == pytest.approx(entropy_of(transmitted_state(config)), abs=1e-12)
