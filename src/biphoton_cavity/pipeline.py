@@ -17,39 +17,47 @@ from .state import (
 
 def grid_from_config(config: SimConfig) -> FrequencyGrid:
     g = config.grid
-    return build_grid(g.center_nm, g.span_nm, g.points)
+    try:
+        return build_grid(g.center_nm, g.span_nm, g.points)
+    except ValueError as exc:  # a span too narrow for the float resolution at the center
+        raise ConfigError(f"grid.span_nm value {g.span_nm:g}: {exc}") from None
 
 
 def input_state_from_config(config: SimConfig, grid: FrequencyGrid | None = None) -> BiphotonAmplitude:
     grid = grid_from_config(config) if grid is None else grid
-    state = compose_input_state(
-        config.pump, config.phase_matching, config.signal_filter, config.idler_filter, grid
-    )
-    if state_norm(state) == 0.0:  # normalize() would fail, without naming a cause
-        raise ConfigError(_zero_state_message(config, grid))
-    return state
+    try:  # a width whose square underflows to 0 divides by it; an overflow is exp's limit 0
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            state = compose_input_state(config.pump, config.phase_matching,
+                                        config.signal_filter, config.idler_filter, grid)
+        if state_norm(state) > 0.0:
+            return state
+    except FloatingPointError:
+        pass
+    raise ConfigError(_zero_state_message(config, grid))
 
 
 def _zero_state_message(config: SimConfig, grid: FrequencyGrid) -> str:
-    """Name the factor, and its config key, of an input state whose |F|^2 underflows."""
-    factors = (
-        ("pump envelope", "pump.center_down_nm", pump_envelope(config.pump, grid)),
-        ("phase-matching envelope", "phase_matching.width_nm",
-         phase_matching_envelope(config.phase_matching, grid)),
-        ("signal filter", "filters.signal.center_nm",
-         detection_filter_profile(config.signal_filter, grid.signal_axis)),
-        ("idler filter", "filters.idler.center_nm",
-         detection_filter_profile(config.idler_filter, grid.idler_axis)),
-    )
-    for name, key, values in factors:
-        if float(np.max(np.abs(values))) ** 2 == 0.0:
-            reason = f"the {name} vanishes on the whole grid; check {key}"
+    """Name the factor, and its center and width keys, of an input state whose |F|^2 underflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factors = (
+            ("pump envelope", "pump.center_down_nm and pump.bandwidth_nm",
+             pump_envelope(config.pump, grid)),
+            ("phase-matching envelope", "phase_matching.width_nm",
+             phase_matching_envelope(config.phase_matching, grid)),
+            ("signal filter", "filters.signal.center_nm and filters.signal.fwhm_nm",
+             detection_filter_profile(config.signal_filter, grid.signal_axis)),
+            ("idler filter", "filters.idler.center_nm and filters.idler.fwhm_nm",
+             detection_filter_profile(config.idler_filter, grid.idler_axis)),
+        )
+    for name, keys, values in factors:
+        if not float(np.max(np.abs(values))) ** 2 > 0.0:  # NaN counts as vanishing
+            reason = f"the {name} vanishes on the whole grid; check {keys}"
             break
     else:
         reason = ("its pump, phase-matching and filter factors do not overlap on the grid; "
                   "check pump.bandwidth_nm and the filters.* keys")
     return (f"input state is zero on every grid point: {reason} "
-            "against grid.center_nm and grid.span_nm")
+            "against grid.center_nm, grid.span_nm and grid.points")
 
 
 def cavity_model_from_config(

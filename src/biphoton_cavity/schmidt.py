@@ -1,9 +1,9 @@
 """Schmidt decomposition and entanglement entropy of biphoton amplitudes.
 
-The discrete L2 norm carries the grid measure d(omega_s)*d(omega_i), so
-Schmidt coefficients and entropies are stable under grid refinement.  Two
-independent routes are provided: singular values of the amplitude matrix,
-and eigenvalues of the reduced density matrix.
+The Schmidt weights are the squared singular values of the amplitude matrix
+normalized to sum 1, so any nonzero scale gives the normalized state's
+spectrum and the grid measure drops out.  The independent route, the reduced
+density matrix of a normalized state, carries the measure d(omega_s)*d(omega_i).
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from .state import BiphotonAmplitude
 # entropy sum (0*ln 0 regularization at machine scale).
 _COEFF_CUTOFF = 1e-12
 
-# Largest accepted deviation of sum(|F|^2)*measure from 1 in schmidt_decompose.
+# Largest accepted deviation of sum(|F|^2)*measure from 1 in entropy_oracle.
 _NORM_TOL = 1e-6
 
 
@@ -53,24 +53,20 @@ def _entropy_from_probabilities(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def schmidt_decompose(state: BiphotonAmplitude) -> SchmidtSpectrum:
-    """Schmidt spectrum of a normalized state via singular value decomposition.
+def _spectrum(singular: np.ndarray) -> SchmidtSpectrum:
+    """Schmidt spectrum from the singular values of an amplitude of any nonzero scale."""
+    largest = singular.max()
+    if largest == 0.0:
+        raise ValueError("cannot compute entropy of an all-zero amplitude")
+    p = (singular / largest) ** 2  # scaled first: s**2 over- or underflows far from 1
+    weights = p / p.sum()
+    return SchmidtSpectrum(np.sqrt(weights), _entropy_from_probabilities(weights),
+                           float(1.0 / np.sum(weights**2)))
 
-    The singular values of the amplitude matrix are scaled by the square root
-    of the grid measure so the coefficients satisfy sum(lambda_j^2) = 1.
-    Refuses states whose norm deviates from 1 by more than 1e-6.
-    """
-    norm = state_norm(state)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"state is not normalized (norm {norm:.6g}); call normalize() first"
-        )
-    singular = np.linalg.svd(state.amplitude, compute_uv=False)
-    coeffs = singular * np.sqrt(state.grid.measure)
-    weights = coeffs**2
-    entropy = _entropy_from_probabilities(weights)
-    effective_modes = float(1.0 / np.sum(weights**2))
-    return SchmidtSpectrum(coefficients=coeffs, entropy=entropy, effective_modes=effective_modes)
+
+def schmidt_decompose(state: BiphotonAmplitude) -> SchmidtSpectrum:
+    """Schmidt spectrum, sum(lambda_j^2) = 1, of a state of any nonzero scale, by SVD."""
+    return _spectrum(np.linalg.svd(state.amplitude, compute_uv=False))
 
 
 def entropy_oracle(state: BiphotonAmplitude) -> float:
@@ -92,8 +88,8 @@ def entropy_oracle(state: BiphotonAmplitude) -> float:
 
 
 def entropy_of(state: BiphotonAmplitude) -> float:
-    """Entropy of a state of any scale: normalize, then decompose."""
-    return schmidt_decompose(normalize(state)).entropy
+    """Entropy in nats of a state of any nonzero scale."""
+    return schmidt_decompose(state).entropy
 
 
 def entropy_of_samples(
@@ -112,12 +108,7 @@ def entropy_of_samples(
     if amp.shape != (ws.size, wi.size):
         raise ValueError("amplitude shape does not match the axes")
     weighted = amp * np.sqrt(np.outer(_trapezoid_weights(ws), _trapezoid_weights(wi)))
-    singular = np.linalg.svd(weighted, compute_uv=False)
-    largest = singular.max()
-    if largest == 0.0:
-        raise ValueError("cannot compute entropy of an all-zero amplitude")
-    p = (singular / largest) ** 2  # scaled first: s**2 over- or underflows far from 1
-    return _entropy_from_probabilities(p / p.sum())
+    return _spectrum(np.linalg.svd(weighted, compute_uv=False)).entropy
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:

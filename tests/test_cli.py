@@ -132,6 +132,41 @@ class TestErrorPaths:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and factor in err and key in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("setting, key", [
+        ("pump.bandwidth_nm = 1e-200", "pump.bandwidth_nm"),
+        ("pump.bandwidth_nm = 1e-158", "pump.bandwidth_nm"),
+        ("pump.bandwidth_nm = 1e-6", "pump.bandwidth_nm"),
+        ("filters.signal.fwhm_nm = 1e-200", "filters.signal.fwhm_nm"),
+        ("filters.signal.fwhm_nm = 1e-6", "filters.signal.fwhm_nm"),
+        ("filters.idler.fwhm_nm = 1e-200", "filters.idler.fwhm_nm"),
+        ("filters.idler.fwhm_nm = 1e-6", "filters.idler.fwhm_nm"),
+        ("phase_matching.kind = gaussian\nphase_matching.width_nm = 1e-200",
+         "phase_matching.width_nm"),
+    ])
+    def test_too_narrow_width_names_the_width_key(self, tmp_path, capsys, setting, key):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(SMALL_CFG + setting + "\n")
+        for command in ("entropy", "state"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("setting, argv, key", [
+        ("grid.span_nm = 1e-12", ["state"], "grid.span_nm"),
+        ("", ["transmit", "--cavity-override", "kind=dicke",
+              "--cavity-override", "coupling_ratio=1e9"], "cavity.coupling_ratio"),
+        ("cavity.lifetime_fs = 1e-320", ["transmit"], "cavity.lifetime_fs"),
+    ])
+    def test_bad_grid_or_cavity_names_the_key(self, tmp_path, capsys, setting, argv, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG + setting + "\n")
+        out_file = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and key in err
+        assert not out_file.exists()
+
     def test_unwritable_out_is_io_error(self, config_path, tmp_path, capsys):
         target = tmp_path / "no" / "dir" / "x.csv"
         assert main(["state", "--config", config_path, "--out", str(target)]) == 2

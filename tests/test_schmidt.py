@@ -91,15 +91,23 @@ class TestSchmidtDecompose:
             assert np.sum(coeffs**2) == pytest.approx(1.0, abs=1e-10)
             assert spectrum.effective_modes >= 1.0
 
-    def test_rejects_unnormalized_state(self):
+    def test_any_scale_gives_the_normalized_spectrum(self):
         state = make_input_state(points=32)
-        with pytest.raises(ValueError):
-            schmidt_decompose(state)
-        barely_off = BiphotonAmplitude(
-            grid=state.grid, amplitude=normalize(state).amplitude * 1.001
-        )
-        with pytest.raises(ValueError):
-            schmidt_decompose(barely_off)
+        expected = schmidt_decompose(normalize(state))
+        for scale in (1.001, 7.0, 1e-3):
+            spectrum = schmidt_decompose(
+                BiphotonAmplitude(grid=state.grid, amplitude=scale * state.amplitude)
+            )
+            np.testing.assert_allclose(spectrum.coefficients, expected.coefficients,
+                                       rtol=1e-12, atol=1e-15)
+            assert spectrum.entropy == pytest.approx(expected.entropy, abs=1e-14)
+            assert spectrum.effective_modes == pytest.approx(expected.effective_modes, rel=1e-12)
+
+    def test_all_zero_rejected(self):
+        grid = build_grid(685.0, 40.0, 8)
+        zero = BiphotonAmplitude(grid=grid, amplitude=np.zeros((8, 8), dtype=complex))
+        with pytest.raises(ValueError, match="all-zero"):
+            schmidt_decompose(zero)
 
 
 class TestEntropyOracle:
@@ -185,6 +193,16 @@ class TestEntropyOfSamples:
             warnings.simplefilter("error")
             entropy = entropy_of_samples(axis, axis, scale * np.eye(2, dtype=complex))
         assert entropy == pytest.approx(np.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_entropy_of_state_far_from_unit_scale(self, scale):
+        """entropy_of, like entropy_of_samples, works where |F|**2 over- or underflows."""
+        state = make_input_state(points=64)
+        scaled = BiphotonAmplitude(grid=state.grid, amplitude=scale * state.amplitude)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entropy = entropy_of(scaled)
+        assert entropy == pytest.approx(entropy_of(state), abs=1e-15)
 
     def test_rejects_bad_axes(self):
         axis = np.array([1.0, 0.9, 1.2])
