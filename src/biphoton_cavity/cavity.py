@@ -47,8 +47,8 @@ class CavityModel:
         if self.kind == "dicke":
             if self.lambda_c < 0.0 or not np.isfinite(self.lambda_c):
                 raise ValueError("lambda_c must be non-negative and finite")
-            if self.omega_e is None or self.omega_e <= 0.0:
-                raise ValueError("dicke cavity requires a positive emitter frequency")
+            if self.omega_e is None or not (self.omega_e > 0.0 and np.isfinite(self.omega_e)):
+                raise ValueError("dicke cavity requires a positive, finite emitter frequency")
             # Guard well below the superradiant critical point of the Dicke
             # model, lambda_crit = sqrt(omega_0 * omega_e) / 2.
             if self.lambda_c >= 0.5 * np.sqrt(self.omega_0 * self.omega_e):

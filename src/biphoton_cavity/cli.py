@@ -89,13 +89,8 @@ def _cmd_state(args) -> int:
 
 def _cmd_transmit(args) -> int:
     config = _load(args)
-    try:
-        model = cavity_model_from_config(config)
-    except ValueError as exc:  # CavityModel names its own field; add the cavity.* keys
-        keys = [line for line in config.echo_lines() if line.startswith("cavity.")]
-        raise ConfigError(f"{', '.join(keys)}: {exc}") from None
     grid = grid_from_config(config)
-    curve = transfer_for(model, grid.idler_axis)
+    curve = transfer_for(cavity_model_from_config(config), grid.idler_axis)
     output = apply_idler_transfer(input_state_from_config(config, grid), curve)
     _emit(dataio.render_jsi(output, config), _resolve_out(args.out))
     if args.curve_out:

@@ -15,6 +15,7 @@ import tempfile
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,11 @@ INTENSITY_ONLY_FLAG = "intensity-only lower-fidelity"
 # Grid cells formatted per block by render_jsi: a block's text and
 # temporaries take about 1 kB a cell, and 2048 is as fast as 4096.
 _BLOCK_CELLS = 2048
+
+# Characters ingest reads at a time, and those that mark a line _skip_line
+# may drop: '#' and the ASCII whitespace but newline that str.strip removes.
+_READ_CHARS = 1 << 16
+_SKIP_MARKS = "#\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
 def _fmt(x: float) -> str:
@@ -196,22 +202,30 @@ def _line_numbers(path) -> array:
 
 
 def _load_table(path, columns: list[str]) -> np.ndarray | None:
-    """The data rows as np.loadtxt parses them from the open file; None without data.
-
-    The header is read line by line and sets `columns`; np.loadtxt then reads
-    the file from the first data line on.  A comment or whitespace-only line
-    among the data, or bytes that are not UTF-8, raise ValueError.
-    """
+    """The data rows as np.loadtxt parses them, None without data; a line it
+    refuses, or bytes that are not UTF-8, raise ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
-        while True:
-            start = handle.tell()
-            line = handle.readline()
-            if not line:
-                return None
-            if not _skip_line(line.strip(), columns):
-                break
-        handle.seek(start)
-        return np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        lines = chain.from_iterable(_data_chunks(handle, columns))
+        first = next(filter(None, lines), None)
+        if first is None:
+            return None
+        return np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+
+
+def _data_chunks(handle, columns: list[str]) -> Iterator[list[str]]:
+    """The lines of `handle`, without newlines, in one list per read.  A list
+    whose text has a non-ASCII character or one of `_SKIP_MARKS` loses the
+    lines `_skip_line` drops (setting `columns`); np.loadtxt skips empty lines."""
+    tail, more = "", True
+    while more:
+        text = handle.read(_READ_CHARS)
+        more = bool(text)
+        text = tail + text
+        lines = text.split("\n")
+        tail = lines.pop() if more else ""
+        if not text.isascii() or any(mark in text for mark in _SKIP_MARKS):
+            lines = [line for line in lines if not _skip_line(line.strip(), columns)]
+        yield lines
 
 
 def _is_utf8(text: str) -> bool:

@@ -19,9 +19,10 @@ _UNIFORM_RTOL = 1e-12
 def omega_from_wavelength(wavelength_nm):
     """Convert vacuum wavelength (nm) to angular frequency (rad/fs)."""
     lam = np.asarray(wavelength_nm, dtype=float)
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise ValueError("wavelength must be finite and positive (nm)")
-    result = TWO_PI_C / lam
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        result = TWO_PI_C / lam
+    if not np.all(np.isfinite(lam) & (lam > 0.0) & np.isfinite(result)):
+        raise ValueError("wavelength must be finite and positive, with a finite frequency (nm)")
     return float(result) if np.isscalar(wavelength_nm) else result
 
 

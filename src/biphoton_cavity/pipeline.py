@@ -71,21 +71,24 @@ def cavity_model_from_config(
     A detuning_nm places the cavity mode that far from the emitter line, to
     first order at the emitter wavelength (|d omega / d lambda| =
     omega/lambda; positive is higher frequency), instead of at cavity.center_nm.
+    A model that CavityModel or the unit conversion refuses raises a
+    ConfigError that names the cavity.* values it was built from.
     """
     c = config.cavity
+    overridden = {"cavity.kind": kind, "cavity.coupling_ratio": coupling_ratio,
+                  "cavity.center_nm": detuning_nm}
     kind = c.kind if kind is None else kind
-    coupling_ratio = c.coupling_ratio if coupling_ratio is None else coupling_ratio
-    if detuning_nm is None:
-        omega_0 = omega_from_wavelength(c.center_nm)
-    else:
-        emitter_omega = omega_from_wavelength(c.emitter_nm)
-        omega_0 = emitter_omega + detuning_nm * (emitter_omega / c.emitter_nm)
+    dicke = kind == "dicke"
+    ratio = c.coupling_ratio if coupling_ratio is None else coupling_ratio
     gamma = 1.0 / c.lifetime_fs
-    return CavityModel(
-        kind=kind,
-        omega_0=omega_0,
-        gamma=gamma,
-        lambda_c=coupling_ratio * gamma if kind == "dicke" else 0.0,
-        omega_e=omega_from_wavelength(c.emitter_nm) if kind == "dicke" else None,
-        gamma_e=c.emitter_damping_ratio * gamma if kind == "dicke" else 0.0,
-    )
+    try:
+        emitter = omega_from_wavelength(c.emitter_nm) if dicke or detuning_nm is not None else None
+        omega_0 = (omega_from_wavelength(c.center_nm) if detuning_nm is None
+                   else emitter + detuning_nm * (emitter / c.emitter_nm))
+        return CavityModel(kind, omega_0, gamma, lambda_c=ratio * gamma if dicke else 0.0,
+                           omega_e=emitter if dicke else None,
+                           gamma_e=c.emitter_damping_ratio * gamma if dicke else 0.0)
+    except ValueError as exc:  # CavityModel names its own field; add the cavity.* values
+        keys = [line for line in config.echo_lines()
+                if line.startswith("cavity.") and overridden.get(line.partition(" =")[0]) is None]
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from None

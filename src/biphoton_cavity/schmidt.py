@@ -50,7 +50,7 @@ def normalize(state: BiphotonAmplitude) -> BiphotonAmplitude:
 
 def _entropy_from_probabilities(p: np.ndarray) -> float:
     p = p[p > _COEFF_CUTOFF**2 * p.max()]
-    return float(-np.sum(p * np.log(p)))
+    return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for a separable state
 
 
 def _spectrum(singular: np.ndarray) -> SchmidtSpectrum:

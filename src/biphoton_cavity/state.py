@@ -47,7 +47,7 @@ class PumpSpec:
         if self.center_down_nm <= 0.0 or self.bandwidth_nm <= 0.0:
             raise ValueError("pump center wavelength and bandwidth must be positive")
         if self.bandwidth_nm >= self.center_down_nm / 2.0:
-            raise ValueError("pump bandwidth must be small compared to the center wavelength")
+            raise ValueError("pump bandwidth must be below half of the down-converted center")
         if self.bandwidth_convention not in PUMP_CONVENTIONS:
             raise ValueError(f"unknown pump bandwidth convention {self.bandwidth_convention!r}")
 

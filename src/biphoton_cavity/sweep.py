@@ -7,7 +7,7 @@ Sweep points are independent pure computations; rows come out sorted by
 """
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,37 +51,66 @@ SWEEPS = {
         None, "coupling_ratio", DEFAULT_BANDWIDTH_VALUES, DEFAULT_COUPLING_SERIES
     ),
 }
-SWEEP_PARAMETERS = tuple(SWEEPS)
 
 
 @dataclass(frozen=True)
 class SweepPlan:
     """A swept parameter, its values, and optional values of the series
-    parameter that the swept parameter implies (SWEEPS).  Construction
-    builds every point's cavity model, so a bad value fails up front."""
+    parameter that the swept parameter implies (SWEEPS).
+
+    Construction builds `points`, the sweep's table in output order: one
+    (series value, sweep value, point config, dicke CavityModel) row per
+    point, sorted by series value, then sweep value.  A point config carries
+    its swept pump bandwidth, and a model's cavity mode sits at
+    cavity_detuning_nm (default 0) from the emitter line.  A bad value fails
+    here, naming the point's values.
+    """
 
     base_config: SimConfig
     swept_parameter: str
     values: tuple[float, ...]
     series_values: tuple[float, ...] = ()
+    points: tuple[tuple[float, float, SimConfig, CavityModel], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.swept_parameter not in SWEEP_PARAMETERS:
+        if self.swept_parameter not in SWEEPS:
             raise ValueError(f"unknown swept parameter {self.swept_parameter!r}")
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("sweep needs at least one value")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.swept_parameter in ("coupling_ratio", "pump_bandwidth_nm") and values[0] <= 0.0:
-            raise ValueError(f"{self.swept_parameter} values must be positive")
-        center = self.base_config.pump.center_down_nm
-        if self.swept_parameter == "pump_bandwidth_nm" and values[-1] >= center / 2.0:
-            raise ValueError(f"pump_bandwidth_nm value {values[-1]:g} must be below half of "
-                             f"pump.center_down_nm ({center:g})")
+        if self.swept_parameter == "coupling_ratio" and values[0] <= 0.0:
+            raise ValueError("coupling_ratio values must be positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_values", tuple(float(v) for v in self.series_values))
-        _point_models(self)
+        base, spec = self.base_config, SWEEPS[self.swept_parameter]
+        configs = dict.fromkeys(values, base)
+        if spec.cavity_arg is None:  # the swept pump bandwidth sets each point's input state
+            for value in values:
+                try:
+                    pump = dataclasses.replace(base.pump, bandwidth_nm=value)
+                except ValueError as exc:
+                    raise ValueError(f"pump_bandwidth_nm value {value:g} with pump.center_down_nm "
+                                     f"= {base.pump.center_down_nm:g}: {exc}") from None
+                configs[value] = dataclasses.replace(base, pump=pump)
+        series_arg = SWEEPS[spec.series_parameter].cavity_arg
+        cavity_args = {"coupling_ratio": base.cavity.coupling_ratio, "detuning_nm": 0.0}
+        points = []
+        for value, config in configs.items():
+            if spec.cavity_arg is not None:
+                cavity_args[spec.cavity_arg] = value
+            for series_value in self.series_values or (cavity_args[series_arg],):
+                cavity_args[series_arg] = series_value
+                try:
+                    model = cavity_model_from_config(base, kind="dicke", **cavity_args)
+                except ValueError as exc:
+                    named = f"{self.swept_parameter} value {value:g}, " if spec.cavity_arg else ""
+                    raise ValueError(f"{named}{spec.series_parameter} value {series_value:g}: "
+                                     f"{exc}") from None
+                points.append((series_value, value, config, model))
+        object.__setattr__(self, "points", tuple(sorted(points, key=lambda point: point[:2])))
 
     @property
     def series_parameter(self) -> str | None:
@@ -128,45 +157,17 @@ class Crossing:
     boundary: bool = False
 
 
-def _point_models(plan: SweepPlan) -> dict[float, list[tuple[float, CavityModel]]]:
-    """Each sweep value's (series value, dicke model) pairs, in row order; the
-    cavity mode sits at cavity_detuning_nm (default 0) from the emitter line.
-    An invalid model raises a ValueError that names the point's values."""
-    spec = SWEEPS[plan.swept_parameter]
-    series_arg = SWEEPS[spec.series_parameter].cavity_arg
-    cavity_args = {"coupling_ratio": plan.base_config.cavity.coupling_ratio, "detuning_nm": 0.0}
-    series = plan.series_values or (cavity_args[series_arg],)
-    models = {}
-    try:
-        for value in plan.values:
-            if spec.cavity_arg is not None:
-                cavity_args[spec.cavity_arg] = value
-            models[value] = []
-            for series_value in series:
-                cavity_args[series_arg] = series_value
-                model = cavity_model_from_config(plan.base_config, kind="dicke", **cavity_args)
-                models[value].append((series_value, model))
-    except ValueError as exc:
-        named = f"{plan.swept_parameter} value {value:g}, " if spec.cavity_arg is not None else ""
-        raise ValueError(f"{named}{spec.series_parameter} value {series_value:g}: {exc}") from None
-    return models
-
-
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Entropy of the dicke-transformed state at every (series, sweep) point.
+    """Entropy of the dicke-transformed state at every point of the plan's table.
 
-    The base config must select a dicke cavity; the cavity models are the
-    plan's (_point_models).  Each distinct input state is composed once, and
-    delta_vs_input is taken against the point's own input state.  When the
-    swept parameter changes the input state, per-value input and
-    empty-cavity reference rows are added.
+    The base config must select a dicke cavity.  Each distinct input state
+    is composed and measured once, and delta_vs_input is taken against the
+    point's own input state.  When the swept parameter changes the input
+    state, per-value input and empty-cavity reference rows are added.
     """
-    spec = SWEEPS[plan.swept_parameter]
     base = plan.base_config
     if base.cavity.kind != "dicke":
         raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base config")
-    point_models = _point_models(plan)
-
     grid = grid_from_config(base)
     empty_curve = transfer_for(cavity_model_from_config(base, kind="two_sided"), grid.idler_axis)
 
@@ -174,38 +175,24 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         state = input_state_from_config(config, grid)
         return state, entropy_of(state), entropy_of(apply_idler_transfer(state, empty_curve))
 
-    base_state, input_entropy, empty_entropy = measure_input(base)
-    rows = []
+    base_input = measure_input(base)
+    point_indices = {}
+    for index, (_, _, config, _) in enumerate(plan.points):
+        point_indices.setdefault(config, []).append(index)
+    rows = [None] * len(plan.points)
     reference_rows = []
-    for value in plan.values:
-        state, s_in = base_state, input_entropy
-        if spec.cavity_arg is None:
-            config = dataclasses.replace(
-                base, pump=dataclasses.replace(base.pump, bandwidth_nm=value)
-            )
-            state, s_in, s_empty = measure_input(config)
-            reference_rows.append(ReferenceRow("input", value, s_in))
-            reference_rows.append(ReferenceRow("empty_cavity", value, s_empty))
-        for series_value, model in point_models[value]:
+    for config, indices in point_indices.items():
+        state, s_in, s_empty = base_input if config == base else measure_input(config)
+        for index in indices:
+            series_value, value, _, model = plan.points[index]
             curve = transfer_for(model, grid.idler_axis)
             entropy = entropy_of(apply_idler_transfer(state, curve))
-            rows.append(
-                SweepRow(
-                    series_value=series_value,
-                    sweep_value=value,
-                    entropy=entropy,
-                    delta_vs_input=entropy - s_in,
-                    flags=curve.flags,
-                )
-            )
-    rows.sort(key=lambda r: (r.series_value, r.sweep_value))
-    return SweepResult(
-        plan=plan,
-        rows=tuple(rows),
-        input_entropy=input_entropy,
-        empty_cavity_entropy=empty_entropy,
-        reference_rows=tuple(reference_rows),
-    )
+            rows[index] = SweepRow(series_value, value, entropy, entropy - s_in, curve.flags)
+        if SWEEPS[plan.swept_parameter].cavity_arg is None:
+            reference_rows.append(ReferenceRow("input", value, s_in))
+            reference_rows.append(ReferenceRow("empty_cavity", value, s_empty))
+        del state  # no input state but the base one is held while the next is composed
+    return SweepResult(plan, tuple(rows), base_input[1], base_input[2], tuple(reference_rows))
 
 
 def find_entropy_crossing(result: SweepResult, series_value: float) -> Crossing | None:
@@ -219,8 +206,7 @@ def find_entropy_crossing(result: SweepResult, series_value: float) -> Crossing 
     if len(rows) < 2:
         raise ValueError("crossing detection needs at least 2 rows in the series")
     rows = sorted(rows, key=lambda r: r.sweep_value)
-    deltas = [r.delta_vs_input for r in rows]
-    if deltas[0] >= 0.0:
+    if rows[0].delta_vs_input >= 0.0:
         return Crossing(value=rows[0].sweep_value, boundary=True)
     for (row_a, row_b) in zip(rows, rows[1:]):
         if row_a.delta_vs_input < 0.0 <= row_b.delta_vs_input:

@@ -37,6 +37,17 @@ class TestEntropyCommand:
         nats = entropy_of(input_state_from_config(load_config(config_path)))
         assert bits == pytest.approx(nats / np.log(2.0), rel=1e-8)
 
+    def test_separable_state_prints_plus_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("grid.points = 3\n")
+        assert main(["entropy", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "entropy_nats = 0"
+        measured = tmp_path / "equal.csv"
+        measured.write_text("# columns: signal_nm,idler_nm,re,im,intensity\n"
+                            "700,700,1,0,1\n700,690,1,0,1\n690,700,1,0,1\n690,690,1,0,1\n")
+        assert main(["ingest", "--config", str(cfg), "--in", str(measured)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "entropy_nats = 0"
+
 
 class TestTransmitEntropyPipeline:
     def test_transformed_entropy_from_file(self, config_path, tmp_path, capsys):
@@ -161,6 +172,21 @@ class TestErrorPaths:
     def test_bad_grid_or_cavity_names_the_key(self, tmp_path, capsys, setting, argv, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMALL_CFG + setting + "\n")
+        out_file = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and key in err
+        assert not out_file.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key", ["cavity.lifetime_fs", "cavity.center_nm", "cavity.emitter_nm"])
+    @pytest.mark.parametrize("argv", [
+        ["transmit"], ["sweep-coupling", "--values=1"], ["sweep-pump", "--values=1,2"],
+        ["sweep-detuning", "--values=0"],
+    ])
+    def test_subnormal_cavity_value_names_the_key(self, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text(SMALL_CFG.replace("two_sided", "dicke") + f"{key} = 1e-320\n")
         out_file = tmp_path / "o"
         assert main([*argv, "--config", str(cfg), "--out", str(out_file)]) == 1
         err = capsys.readouterr().err

@@ -176,6 +176,10 @@ def _refuse_loadtxt(*args, **kwargs):
     raise ValueError("np.loadtxt disabled")
 
 
+def _refuse_parse_rows(*args):
+    raise AssertionError("fell back to the float() parser")
+
+
 def _ingest_outcome(path):
     try:
         measured = ingest_measured_jsi(path)
@@ -298,6 +302,36 @@ class TestIngestParserEquivalence:
             assert fast == f"{path}{expected}"
         else:
             assert fast["intensity"] == np.array(expected, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("case, body, expected", [
+        ("comment among data", b"700,700,1\n700,690,2\n# note\n690,700,3\n690,690,4\n",
+         [1, 2, 3, 4]),
+        ("whitespace-only line", b"700,700,1\n \t\n700,690,2\n690,700,3\n690,690,4\n",
+         [1, 2, 3, 4]),
+        ("columns comment among data",
+         b"700,700,1\n# columns: idler_nm,signal_nm,intensity\n700,690,2\n690,700,3\n"
+         b"690,690,4\n", ": need at least 2 points per axis, got 4 x 1"),
+    ])
+    def test_comment_and_whitespace_lines_stay_on_loadtxt(self, tmp_path, monkeypatch, case,
+                                                           body, expected):
+        monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
+        path = tmp_path / "edge.csv"
+        path.write_bytes(b"# format: jsiv1\n# columns: signal_nm,idler_nm,intensity\n" + body)
+        outcome = _ingest_outcome(path)
+        if isinstance(expected, str):
+            assert outcome == f"{path}{expected}"
+        else:
+            assert outcome["intensity"] == np.array(expected, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("read_chars", [1, 4, 11, 64])
+    def test_reads_may_split_lines_anywhere(self, tmp_path, monkeypatch, read_chars):
+        monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        path = tmp_path / "split.csv"
+        path.write_bytes(b"# columns: signal_nm,idler_nm,intensity\n700,700,1\n\n700,690,2\n"
+                         b"  # note\n690,700,3\n \t\n# columns: signal_nm,idler_nm,intensity\n"
+                         b"690,690,4\n#")
+        assert _ingest_outcome(path)["intensity"] == np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
 
     def test_line_numbers_rebuilt_only_for_a_message(self, tmp_path, monkeypatch):
         rescans = []

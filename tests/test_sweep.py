@@ -14,6 +14,7 @@ from biphoton_cavity import (
     run_sweep,
     transfer_for,
 )
+from biphoton_cavity import pipeline, sweep
 from biphoton_cavity.pipeline import cavity_model_from_config, input_state_from_config
 from biphoton_cavity.sweep import SweepResult, SweepRow
 from conftest import transmitted_state
@@ -228,6 +229,38 @@ class TestSweepTable:
             assert inputs[row.sweep_value] == pytest.approx(s_in, abs=1e-12)
         assert result.input_entropy == pytest.approx(
             entropy_of(input_state_from_config(config)), abs=1e-12)
+
+
+class TestSweepWork:
+    """Each point's model is built once, and each distinct input state composed once."""
+
+    @pytest.mark.parametrize("swept, values, series", [
+        ("coupling_ratio", (0.8, 1.2), (2.0, -2.0, 0.0)),
+        ("cavity_detuning_nm", (-1.0, 1.0), ()),
+        ("pump_bandwidth_nm", (3.0, 6.0, 9.0), (1.0, 2.0)),
+    ])
+    def test_one_model_per_point(self, monkeypatch, swept, values, series):
+        calls = []
+        build = sweep.cavity_model_from_config
+        monkeypatch.setattr(sweep, "cavity_model_from_config",
+                            lambda *a, **k: calls.append(k) or build(*a, **k))
+        plan = SweepPlan(small_config(), swept, values, series_values=series)
+        result = run_sweep(plan)
+        assert len(calls) == len(result.rows) + 1
+        assert [point[:2] for point in plan.points] == [
+            (r.series_value, r.sweep_value) for r in result.rows]
+
+    def test_pump_sweep_composes_each_input_state_once(self, monkeypatch):
+        composed = []
+        compose = pipeline.compose_input_state
+        monkeypatch.setattr(pipeline, "compose_input_state",
+                            lambda pump, *a: composed.append(pump.bandwidth_nm) or compose(pump, *a))
+        # 6 nm is the base bandwidth: its rows reuse the base input state
+        result = run_sweep(SweepPlan(small_config(), "pump_bandwidth_nm", (3.0, 6.0, 9.0),
+                                     series_values=(1.0, 2.0)))
+        assert composed == [6.0, 3.0, 9.0]
+        inputs = {r.sweep_value: r.entropy for r in result.reference_rows if r.kind == "input"}
+        assert inputs[6.0] == result.input_entropy
 
 
 class TestCrossing:
