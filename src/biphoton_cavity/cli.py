@@ -72,13 +72,16 @@ def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
     if not is_range:
         return values
     start, stop, step = values
+    end = stop + step / 2.0  # np.arange's exclusive end
     if step <= 0.0 or stop < start:
         raise ConfigError(f"{flag}: bad range {spec!r}")
-    points = (stop + step / 2.0 - start) / step  # np.arange's length, before it allocates
+    points = (end - start) / step  # np.arange's length, before it allocates
     if points > MAX_SWEEP_POINTS:
         raise ConfigError(f"{flag}: range {spec!r} would give {points:.3g} points; "
                           f"the limit is {MAX_SWEEP_POINTS}")
-    return tuple(np.round(np.arange(start, stop + step / 2.0, step), 12))
+    if not math.isfinite(max(-start, end) * 1e12):  # np.round(x, 12) scales x by 1e12
+        raise ConfigError(f"{flag}: range {spec!r} is too large to round to 12 decimals")
+    return tuple(np.round(np.arange(start, end, step), 12))
 
 
 def _cmd_state(args) -> int:

@@ -7,15 +7,15 @@ go through a numpy block formatter with the same output.  An export is an
 iterable of text pieces, each of whole newline-terminated lines, whose
 concatenation is the file: a jsiv1 export is one piece per block of grid
 cells.  Writes go to a temporary file and are renamed into place, so failed
-exports leave nothing behind.  Ingested files are read in bounded chunks.
+exports leave nothing behind.  Ingested files are read once, in bounded
+chunks that number their lines, and again only when np.loadtxt refuses them.
 """
 
 import os
 import tempfile
-from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -176,56 +176,33 @@ def _skip_line(line: str, columns: list[str]) -> bool:
     return not line
 
 
-def _read_data_lines(path, line_numbers: array, columns: list[str]) -> Iterator[str]:
-    """Yield the stripped data lines; append their 1-based line numbers to
-    `line_numbers` and set `columns` from the `# columns:` header.
-
-    Blank lines are skipped.  Bytes that are not UTF-8 are reported with
-    their line; universal newlines apply, as for any text file.
-    """
+def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
+    """The data lines of the file at `path`, without newlines, in one list per
+    read, and each list's file line numbers appended to `spans`.  A read with
+    an empty line, a non-ASCII character or one of `_SKIP_MARKS` goes line by
+    line: it loses the lines `_skip_line` drops (setting `columns`) and numbers
+    the others in an index array; any other read is numbered by a range.  A
+    line that is not UTF-8 raises ValueError with its number."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line.isascii() and not _is_utf8(line):
-                raise ValueError(f"{path}:{lineno}: not UTF-8 text")
-            if not _skip_line(line, columns):
-                line_numbers.append(lineno)
-                yield line
-
-
-def _line_numbers(path) -> array:
-    """The file line of each data row: error messages after a fast parse need them."""
-    line_numbers = array("q")
-    for _ in _read_data_lines(path, line_numbers, []):
-        pass
-    return line_numbers
-
-
-def _load_table(path, columns: list[str]) -> np.ndarray | None:
-    """The data rows as np.loadtxt parses them, None without data; a line it
-    refuses, or bytes that are not UTF-8, raise ValueError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = chain.from_iterable(_data_chunks(handle, columns))
-        first = next(filter(None, lines), None)
-        if first is None:
-            return None
-        return np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
-
-
-def _data_chunks(handle, columns: list[str]) -> Iterator[list[str]]:
-    """The lines of `handle`, without newlines, in one list per read.  A list
-    whose text has a non-ASCII character or one of `_SKIP_MARKS` loses the
-    lines `_skip_line` drops (setting `columns`); np.loadtxt skips empty lines."""
-    tail, more = "", True
-    while more:
-        text = handle.read(_READ_CHARS)
-        more = bool(text)
-        text = tail + text
-        lines = text.split("\n")
-        tail = lines.pop() if more else ""
-        if not text.isascii() or any(mark in text for mark in _SKIP_MARKS):
-            lines = [line for line in lines if not _skip_line(line.strip(), columns)]
-        yield lines
+        tail, first, more = "", 1, True
+        while more:
+            text = handle.read(_READ_CHARS)
+            more = bool(text)
+            text = tail + text
+            lines = text.split("\n")
+            tail = lines.pop() if more else ""
+            numbers = range(first, first + len(lines))
+            first = numbers.stop
+            if "" in lines or not text.isascii() or any(mark in text for mark in _SKIP_MARKS):
+                if not text.isascii() and not _is_utf8(text):
+                    for number, line in zip(numbers, lines):  # the tail is checked next read
+                        if not _is_utf8(line):
+                            raise ValueError(f"{path}:{number}: not UTF-8 text")
+                keep = [not _skip_line(line.strip(), columns) for line in lines]
+                lines = list(compress(lines, keep))
+                numbers = numbers.start + np.flatnonzero(keep)
+            spans.append(numbers)
+            yield lines
 
 
 def _is_utf8(text: str) -> bool:
@@ -245,7 +222,7 @@ def _parse_rows(path, lines, line_numbers) -> list[list[float]]:
     so a file the fast path rejects still parses exactly as it always did.
     """
     rows = []
-    for line, lineno in zip(lines, line_numbers):
+    for line, lineno in zip(map(str.strip, lines), line_numbers):
         try:
             rows.append([float(p) for p in line.split(",")])
         except ValueError:
@@ -260,22 +237,26 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     """
     path = Path(path)
     columns: list[str] = []
-    line_numbers, rows = None, None
+    spans: list = []  # the file lines of the data rows, one range or index array per read
+    lines = chain.from_iterable(_data_chunks(path, columns, spans))
+    data, rows = None, None
     try:
-        data = _load_table(path, columns)
-    except ValueError:  # UnicodeDecodeError included
-        data = None
-    if data is None:
-        # Re-read in full, so a non-UTF-8 line is reported before any bad cell.
-        line_numbers, columns = array("q"), []
-        lines = list(_read_data_lines(path, line_numbers, columns))
-        if not lines:
-            raise ValueError(f"{path}: no data rows")
-        rows = _parse_rows(path, lines, line_numbers)
+        if (first := next(lines, None)) is not None:
+            data = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a line np.loadtxt refuses, or one that is not UTF-8
+        # float() parses once every line is read: a line that is not UTF-8 is
+        # reported before any bad cell.
+        spans.clear()
+        lines = list(chain.from_iterable(_data_chunks(path, columns, spans)))
+        rows = _parse_rows(path, lines, chain.from_iterable(spans))
+    if data is None and not rows:
+        raise ValueError(f"{path}: no data rows")
 
     def line_of(row: int) -> int:
-        # The fast path keeps no line numbers; only an error message needs them.
-        return (line_numbers or _line_numbers(path))[row]
+        for span in spans:
+            if row < len(span):
+                return span[row]
+            row -= len(span)
 
     # np.loadtxt only returns rectangular data, so its one width stands for every row.
     widths = [data.shape[1]] if rows is None else [len(values) for values in rows]

@@ -3,7 +3,7 @@
 The Schmidt weights are the squared singular values of the amplitude matrix
 normalized to sum 1, so any nonzero scale gives the normalized state's
 spectrum and the grid measure drops out.  The independent route, the reduced
-density matrix of a normalized state, carries the measure d(omega_s)*d(omega_i).
+density matrix F F^dagger divided by its trace, needs no normalized state either.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,6 @@ from .state import BiphotonAmplitude
 # Coefficients below this fraction of the largest are dropped before the
 # entropy sum (0*ln 0 regularization at machine scale).
 _COEFF_CUTOFF = 1e-12
-
-# Largest accepted deviation of sum(|F|^2)*measure from 1 in entropy_oracle.
-_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,19 +69,16 @@ def schmidt_decompose(state: BiphotonAmplitude) -> SchmidtSpectrum:
 def entropy_oracle(state: BiphotonAmplitude) -> float:
     """Entropy via the reduced density matrix, independent of the SVD path.
 
-    Builds rho_s = F F^dagger * measure, takes its eigenvalues and returns
-    -sum(p ln p).  Must agree with schmidt_decompose to 1e-9.
+    Builds rho_s = F F^dagger, divides it by its trace (so the scale and the
+    grid measure drop out) and returns -sum(p ln p) of its eigenvalues.  Must
+    agree with schmidt_decompose to 1e-9.
     """
-    norm = state_norm(state)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"state is not normalized (norm {norm:.6g}); call normalize() first"
-        )
-    f = state.amplitude
-    rho = (f @ f.conj().T) * state.grid.measure
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 0.0]
-    return _entropy_from_probabilities(evals)
+    rho = state.amplitude @ state.amplitude.conj().T
+    trace = np.trace(rho).real
+    if trace == 0.0:
+        raise ValueError("cannot compute entropy of an all-zero amplitude")
+    evals = np.linalg.eigvalsh(rho / trace)
+    return _entropy_from_probabilities(evals[evals > 0.0])
 
 
 def entropy_of(state: BiphotonAmplitude) -> float:

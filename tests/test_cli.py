@@ -248,6 +248,7 @@ class TestSweepCommands:
             ("sweep-pump", "--values", "nan", ["--cavity-override=kind=dicke"]),
             ("sweep-pump", "--values", "1,inf", ["--cavity-override=kind=dicke"]),
             ("sweep-coupling", "--series", "nan", ["--values=1.0", "--cavity-override=kind=dicke"]),
+            ("sweep-coupling", "--values", "1e307:1.7e308:1e307", ["--cavity-override=kind=dicke"]),
         ):
             argv = [command, "--config", config_path, f"{flag}={spec}", *extra]
             assert main(argv) == 1

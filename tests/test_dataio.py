@@ -286,6 +286,8 @@ class TestIngestParserEquivalence:
          ":5: not UTF-8 text"),
         ("non-UTF-8 trailer", b"700,700,1\n700,690,2\n690,700,3\n690,690,4\n# \xff\n",
          ":7: not UTF-8 text"),
+        ("non-UTF-8 after a bad cell", b"700,700,x\n700,690,2\n690,700,3\n690,690,4\n# \xff\n",
+         ":7: not UTF-8 text"),
         ("non-finite after blank lines", b"700,700,1\n\n700,690,2\n\n690,700,inf\n690,690,4\n",
          ":7: non-finite data"),
         ("negative after blank lines", b"700,700,1\n\n\n700,690,-2\n690,700,3\n690,690,4\n",
@@ -333,18 +335,32 @@ class TestIngestParserEquivalence:
                          b"690,690,4\n#")
         assert _ingest_outcome(path)["intensity"] == np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
 
-    def test_line_numbers_rebuilt_only_for_a_message(self, tmp_path, monkeypatch):
-        rescans = []
-        line_numbers = dataio._line_numbers
-        monkeypatch.setattr(dataio, "_line_numbers",
-                            lambda path: rescans.append(path) or line_numbers(path))
+    @pytest.mark.parametrize("read_chars", [1, 4, 11, 64])
+    def test_second_read_numbers_lines_afresh(self, tmp_path, monkeypatch, read_chars):
+        # np.loadtxt refuses line 2 before the first read reaches the ragged line 5
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        path = tmp_path / "split.csv"
+        path.write_text("\n".join([self.GRID[0], "700,700,1_0", *self.GRID[2:4], "690,690"]) + "\n")
+        assert _ingest_outcome(path) == f"{path}:5: expected 3 columns, got 2"
+
+    def test_file_read_again_only_when_loadtxt_refuses(self, tmp_path, monkeypatch):
+        opened = []
+        monkeypatch.setattr(dataio, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                            raising=False)
         path = tmp_path / "grid.csv"
-        path.write_text("\n".join(self.GRID) + "\n")
-        ingest_measured_jsi(path)
-        assert rescans == []
-        path.write_text("\n".join(self.GRID[:4] + ["690,690,nan"]) + "\n")
-        assert _ingest_outcome(path) == f"{path}:5: non-finite data"
-        assert rescans == [path]
+        for last, expected, reads in (
+            ("690,690,4", 4.0, 1),
+            ("690,690,nan", ":5: non-finite data", 1),  # its line comes from the first read
+            ("690,690,1_0", 10.0, 2),  # float() reads 1_0; np.loadtxt refuses it
+        ):
+            opened.clear()
+            path.write_text("\n".join(self.GRID[:4] + [last]) + "\n")
+            outcome = _ingest_outcome(path)
+            assert opened == [path] * reads
+            if isinstance(expected, str):
+                assert outcome == f"{path}{expected}"
+            else:
+                assert outcome["intensity"] == np.array([1.0, 2.0, 3.0, expected]).tobytes()
 
 
 class TestCurveExport:
