@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: state, transmit, entropy, sweep-coupling, sweep-pump,
-sweep-detuning, ingest.  Exit codes: 0 success, 1 validation/usage error,
-2 I/O error.  Diagnostics go to stderr; data goes to files or stdout.
+sweep-detuning, ingest.  Exit codes: 0 success, 1 validation/usage error or
+out of memory, 2 I/O error.  Diagnostics go to stderr; data to files or stdout.
 """
 
 import argparse
@@ -200,6 +200,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; lower grid.points or use a smaller --in file", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -329,12 +329,9 @@ def measured_entropy(measured: MeasuredJsi) -> tuple[float, tuple[str, ...]]:
     intensity-only flag.  Axes convert to angular frequency and the entropy
     uses trapezoid weights, so non-uniform measured grids are handled.
     """
-    if measured.amplitude is not None:
-        amp = measured.amplitude
-        flags: tuple[str, ...] = ()
-    else:
-        amp = np.sqrt(measured.intensity).astype(complex)
-        flags = (INTENSITY_ONLY_FLAG,)
+    intensity_only = measured.amplitude is None
+    amp = np.sqrt(measured.intensity) if intensity_only else measured.amplitude
+    flags = (INTENSITY_ONLY_FLAG,) if intensity_only else ()
     signal_omega = omega_from_wavelength(measured.signal_nm)
     idler_omega = omega_from_wavelength(measured.idler_nm)
     if signal_omega[0] > signal_omega[-1]:

@@ -31,18 +31,12 @@ class SchmidtSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def state_norm(state: BiphotonAmplitude) -> float:
-    """L2 norm sqrt(sum |F|^2 * measure)."""
-    total = float(np.sum(np.abs(state.amplitude) ** 2)) * state.grid.measure
-    return float(np.sqrt(total))
-
-
 def normalize(state: BiphotonAmplitude) -> BiphotonAmplitude:
     """Scale the amplitude so sum(|F|^2) * measure = 1."""
-    norm = state_norm(state)
-    if norm == 0.0:
+    total = float(np.sum(np.abs(state.amplitude) ** 2)) * state.grid.measure
+    if total == 0.0:
         raise ValueError("cannot normalize an all-zero amplitude")
-    return BiphotonAmplitude(grid=state.grid, amplitude=state.amplitude / norm)
+    return BiphotonAmplitude(grid=state.grid, amplitude=state.amplitude / np.sqrt(total))
 
 
 def _entropy_from_probabilities(p: np.ndarray) -> float:
@@ -69,15 +63,16 @@ def schmidt_decompose(state: BiphotonAmplitude) -> SchmidtSpectrum:
 def entropy_oracle(state: BiphotonAmplitude) -> float:
     """Entropy via the reduced density matrix, independent of the SVD path.
 
-    Builds rho_s = F F^dagger, divides it by its trace (so the scale and the
-    grid measure drop out) and returns -sum(p ln p) of its eigenvalues.  Must
-    agree with schmidt_decompose to 1e-9.
+    Builds rho_s = F F^dagger from F over its largest modulus, so that no scale
+    over- or underflows, divides it by its trace and returns -sum(p ln p) of
+    its eigenvalues.  Must agree with schmidt_decompose to 1e-9.
     """
-    rho = state.amplitude @ state.amplitude.conj().T
-    trace = np.trace(rho).real
-    if trace == 0.0:
+    largest = np.abs(state.amplitude).max()
+    if largest == 0.0:
         raise ValueError("cannot compute entropy of an all-zero amplitude")
-    evals = np.linalg.eigvalsh(rho / trace)
+    scaled = state.amplitude / largest
+    rho = scaled @ scaled.conj().T
+    evals = np.linalg.eigvalsh(rho / np.trace(rho).real)
     return _entropy_from_probabilities(evals[evals > 0.0])
 
 
@@ -96,7 +91,7 @@ def entropy_of_samples(
     """
     ws = np.asarray(signal_axis, dtype=float)
     wi = np.asarray(idler_axis, dtype=float)
-    amp = np.asarray(amplitude, dtype=complex)
+    amp = np.asarray(amplitude, dtype=complex if np.iscomplexobj(amplitude) else float)
     if np.any(np.diff(ws) <= 0.0) or np.any(np.diff(wi) <= 0.0):
         raise ValueError("axes must be strictly increasing")
     if amp.shape != (ws.size, wi.size):

@@ -2,8 +2,8 @@
 
 The input state is a product of a Gaussian pump envelope (function of
 omega_s + omega_i), a phase-matching envelope, and one detection-filter
-profile per arm.  Idler-arm propagation multiplies each idler column by a
-complex transfer value.
+profile per arm, all real.  Idler-arm propagation multiplies each idler
+column by a complex transfer value: the one step that makes a state complex.
 """
 
 from dataclasses import dataclass
@@ -96,13 +96,14 @@ class PhaseMatchingSpec:
 
 @dataclass(frozen=True)
 class BiphotonAmplitude:
-    """Complex joint spectral amplitude F(omega_s, omega_i) on a FrequencyGrid."""
+    """Joint spectral amplitude F(omega_s, omega_i) on a FrequencyGrid: float64 or complex128."""
 
     grid: FrequencyGrid
     amplitude: np.ndarray
 
     def __post_init__(self):
-        amp = np.array(self.amplitude, dtype=complex, order="C")
+        dtype = complex if np.iscomplexobj(self.amplitude) else float
+        amp = np.array(self.amplitude, dtype=dtype, order="C")
         if amp.shape != (self.grid.n_signal, self.grid.n_idler):
             raise ValueError(
                 f"amplitude shape {amp.shape} does not match grid "
@@ -163,7 +164,7 @@ def compose_input_state(
 
     All four factors are applied at the amplitude level, so the joint
     spectral intensity factorizes into their squared moduli.  The result is
-    real and non-negative under the default (flat) phase matching.
+    real (float64) and non-negative.
     """
     a = pump_envelope(pump, grid)
     phi = phase_matching_envelope(pm, grid)
@@ -177,7 +178,7 @@ def apply_idler_transfer(state: BiphotonAmplitude, curve: TransferCurve) -> Biph
     """Multiply each idler column by C(omega_i); the signal axis is untouched.
 
     The curve must be sampled exactly on the state's idler axis.  The result
-    is not renormalized, so transmission losses stay visible in the JSI.
+    is complex and not renormalized, so transmission losses stay visible in the JSI.
     """
     if not np.array_equal(curve.axis, state.grid.idler_axis):
         raise ValueError("transfer curve is not sampled on the state's idler axis")

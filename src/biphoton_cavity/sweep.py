@@ -7,6 +7,7 @@ Sweep points are independent pure computations; rows come out sorted by
 """
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +162,8 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     """Entropy of the dicke-transformed state at every point of the plan's table.
 
     The base config must select a dicke cavity.  Each distinct input state
-    is composed and measured once, and delta_vs_input is taken against the
+    is composed and measured once, and each model's curve sampled once; only
+    curves that points share are held.  delta_vs_input is taken against the
     point's own input state.  When the swept parameter changes the input
     state, per-value input and empty-cavity reference rows are added.
     """
@@ -170,6 +172,8 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base config")
     grid = grid_from_config(base)
     empty_curve = transfer_for(cavity_model_from_config(base, kind="two_sided"), grid.idler_axis)
+    uses = Counter(model for *_, model in plan.points)
+    curves = {model: transfer_for(model, grid.idler_axis) for model in uses if uses[model] > 1}
 
     def measure_input(config):
         state = input_state_from_config(config, grid)
@@ -185,7 +189,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         state, s_in, s_empty = base_input if config == base else measure_input(config)
         for index in indices:
             series_value, value, _, model = plan.points[index]
-            curve = transfer_for(model, grid.idler_axis)
+            curve = curves.get(model) or transfer_for(model, grid.idler_axis)
             entropy = entropy_of(apply_idler_transfer(state, curve))
             rows[index] = SweepRow(series_value, value, entropy, entropy - s_in, curve.flags)
         if SWEEPS[plan.swept_parameter].cavity_arg is None:

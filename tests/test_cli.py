@@ -49,6 +49,27 @@ class TestEntropyCommand:
         assert capsys.readouterr().out.splitlines()[-1] == "entropy_nats = 0"
 
 
+    @pytest.mark.parametrize("extra, nats, bits, from_file", [
+        ("", "0.249377769", "0.359776071", "0.249377737"),
+        ("pump.bandwidth_nm = 0.7\nphase_matching.kind = gaussian\n"
+         "phase_matching.width_nm = 5\nfilters.idler.center_nm = 690\n",
+         "1.4531787", "2.09649371", "1.45317866"),
+    ])
+    def test_real_input_state_prints_the_complex_route_digits(self, tmp_path, capsys, extra,
+                                                               nats, bits, from_file):
+        # pinned from the complex128 input-state route; the real one must print the same
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CFG + extra)
+        state_file = tmp_path / "state.csv"
+        for argv, line in ((["entropy"], f"entropy_nats = {nats}"),
+                           (["entropy", "--bits"], f"entropy_bits = {bits}"),
+                           (["state", "--out", str(state_file)], None),
+                           (["entropy", "--in", str(state_file)], f"entropy_nats = {from_file}")):
+            assert main([*argv, "--config", str(cfg)]) == 0
+            out = capsys.readouterr().out
+            assert line is None or out.splitlines()[-1] == line
+
+
 class TestTransmitEntropyPipeline:
     def test_transformed_entropy_from_file(self, config_path, tmp_path, capsys):
         out_file = tmp_path / "transformed.csv"
@@ -192,6 +213,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and key in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("command", ["state", "entropy"])
+    def test_out_of_memory_names_grid_points(self, config_path, capsys, monkeypatch, command):
+        import biphoton_cavity.cli as cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "input_state_from_config", no_memory)
+        assert main([command, "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "grid.points" in err
+        assert "Traceback" not in err
 
     def test_unwritable_out_is_io_error(self, config_path, tmp_path, capsys):
         target = tmp_path / "no" / "dir" / "x.csv"

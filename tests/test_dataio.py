@@ -12,6 +12,7 @@ from biphoton_cavity import (
     CavityModel,
     FrequencyGrid,
     SweepPlan,
+    apply_idler_transfer,
     ingest_measured_jsi,
     measured_entropy,
     omega_from_wavelength,
@@ -115,6 +116,36 @@ class TestRenderJsi:
         assert lines[:2] == ["# format: jsiv1", "# columns: signal_nm,idler_nm,re,im,intensity"]
         assert lines[2:] == expected
         assert any(",-0," in line for line in lines)  # signed zero survives
+
+
+class TestRealInputStates:
+    """A real (float64) input state exports and transmits to the bytes of its complex copy."""
+
+    @staticmethod
+    def _complex_copy(state):
+        return BiphotonAmplitude(state.grid, state.amplitude.astype(complex))
+
+    def test_real_state_renders_like_its_complex_copy(self):
+        state = make_input_state(points=24)
+        assert state.amplitude.dtype == np.float64
+        text = "".join(render_jsi(state))
+        assert text == "".join(render_jsi(self._complex_copy(state)))
+        im_column = [line.split(",")[3] for line in text.splitlines() if not line.startswith("#")]
+        assert set(im_column) == {"0"}  # +0.0, never -0
+
+    def test_underflowing_cells_transmit_like_the_complex_route(self):
+        # a 0.05 nm pump leaves most cells exactly 0; 0 * (a + ib) must keep its zero signs
+        state = make_input_state(points=64, pump_nm=0.05)
+        assert np.any(state.amplitude == 0.0) and np.any(state.amplitude > 0.0)
+        model = CavityModel(kind="one_sided", omega_0=omega_from_wavelength(685.0), gamma=1 / 150.0)
+        curve = transfer_for(model, state.grid.idler_axis)
+        assert np.any((curve.values.real < 0.0) & (curve.values.imag < 0.0))
+        real_route = apply_idler_transfer(state, curve)
+        complex_route = apply_idler_transfer(self._complex_copy(state), curve)
+        assert real_route.amplitude.tobytes() == complex_route.amplitude.tobytes()
+        text = "".join(render_jsi(real_route))
+        assert text == "".join(render_jsi(complex_route))
+        assert ",-0," in text  # 0 * (a + ib) with a, b < 0 has imaginary part -0
 
 
 def _block_texts(values):

@@ -129,6 +129,17 @@ class TestEntropyOracle:
                 worst = max(worst, gap)
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_matches_svd_at_extreme_scales(self, rng, scale):
+        # F F^dagger of the unscaled state overflows at 1e160 and underflows to 0 at 1e-170
+        state = random_state(rng, n=8)
+        for amp in (state.amplitude, state.amplitude.real):
+            scaled = BiphotonAmplitude(grid=state.grid, amplitude=scale * amp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gap = abs(entropy_oracle(scaled) - schmidt_decompose(scaled).entropy)
+            assert gap <= 1e-9
+
 
 class TestEntropyInvariances:
     def test_global_phase_and_scale(self, rng):

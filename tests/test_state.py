@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from biphoton_cavity import (
+    BiphotonAmplitude,
     CavityModel,
     FilterSpec,
     FrequencyGrid,
@@ -139,8 +140,8 @@ class TestComposeInputState:
 
     def test_real_nonnegative_under_defaults(self):
         state = make_input_state(points=48)
-        assert np.all(state.amplitude.imag == 0.0)
-        assert np.all(state.amplitude.real >= 0.0)
+        assert state.amplitude.dtype == np.float64
+        assert np.all(state.amplitude >= 0.0)
 
     def test_broad_pump_narrow_filters_nearly_separable(self):
         # product-form limit, checked with the reduced-density-matrix oracle
@@ -158,6 +159,26 @@ class TestComposeInputState:
         core = state.amplitude.real / np.outer(gs, gi)
         # (i+1, j-1) has the same omega_s + omega_i as (i, j) on a uniform grid
         np.testing.assert_allclose(core[1:, :-1], core[:-1, 1:], rtol=1e-10)
+
+
+class TestDtypeContract:
+    """Input states are float64; the idler transfer is the step that makes them complex128."""
+
+    def test_input_state_is_real_until_the_idler_transfer(self):
+        config = parse_config_text("grid.points = 48\nphase_matching.kind = gaussian\n"
+                                   "phase_matching.width_nm = 12\n")
+        grid = grid_from_config(config)
+        for state in (make_input_state(points=48), input_state_from_config(config, grid)):
+            assert state.amplitude.dtype == np.float64
+            curve = transfer_for(CavityModel("two_sided", omega_from_wavelength(685.0), 1 / 150.0),
+                                 state.grid.idler_axis)
+            assert apply_idler_transfer(state, curve).amplitude.dtype == np.complex128
+
+    def test_amplitude_keeps_its_kind(self):
+        grid = build_grid(685.0, 40.0, 2)
+        assert BiphotonAmplitude(grid, [[1, 0], [0, 1]]).amplitude.dtype == np.float64
+        zero_imag = np.eye(2, dtype=np.complex64)
+        assert BiphotonAmplitude(grid, zero_imag).amplitude.dtype == np.complex128
 
 
 class TestApplyIdlerTransfer:

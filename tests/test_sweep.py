@@ -232,7 +232,8 @@ class TestSweepTable:
 
 
 class TestSweepWork:
-    """Each point's model is built once, and each distinct input state composed once."""
+    """Each point's model is built once, each model's curve sampled once, and each
+    distinct input state composed once."""
 
     @pytest.mark.parametrize("swept, values, series", [
         ("coupling_ratio", (0.8, 1.2), (2.0, -2.0, 0.0)),
@@ -249,6 +250,21 @@ class TestSweepWork:
         assert len(calls) == len(result.rows) + 1
         assert [point[:2] for point in plan.points] == [
             (r.series_value, r.sweep_value) for r in result.rows]
+
+    @pytest.mark.parametrize("swept, values, series, curves", [
+        ("coupling_ratio", (0.8, 1.2), (2.0, -2.0, 0.0), 6),
+        ("pump_bandwidth_nm", (3.0, 6.0, 9.0), (1.0, 2.0), 2),
+    ])
+    def test_one_transfer_curve_per_model(self, monkeypatch, swept, values, series, curves):
+        sampled = []
+        monkeypatch.setattr(sweep, "transfer_for",
+                            lambda model, axis: sampled.append(model) or transfer_for(model, axis))
+        plan = SweepPlan(small_config(), swept, values, series_values=series)
+        result = run_sweep(plan)
+        assert len(sampled) == curves + 1  # and one for the empty-cavity reference
+        assert len(set(sampled)) == len(sampled)
+        assert [r.entropy for r in result.rows] == [
+            entropy_of(transmitted_state(config, model)) for *_, config, model in plan.points]
 
     def test_pump_sweep_composes_each_input_state_once(self, monkeypatch):
         composed = []
