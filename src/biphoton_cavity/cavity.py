@@ -44,6 +44,8 @@ class CavityModel:
             raise ValueError("gamma must be positive and finite")
         if not (self.omega_0 > 0.0 and np.isfinite(self.omega_0)):
             raise ValueError("omega_0 must be positive and finite")
+        if not (self.gamma_e >= 0.0 and np.isfinite(self.gamma_e)):
+            raise ValueError("gamma_e must be non-negative and finite")
         if self.kind == "dicke":
             if self.lambda_c < 0.0 or not np.isfinite(self.lambda_c):
                 raise ValueError("lambda_c must be non-negative and finite")
@@ -53,8 +55,6 @@ class CavityModel:
             # model, lambda_crit = sqrt(omega_0 * omega_e) / 2.
             if self.lambda_c >= 0.5 * np.sqrt(self.omega_0 * self.omega_e):
                 raise ValueError("lambda_c is at or beyond the Dicke critical point")
-            if self.gamma_e < 0.0:
-                raise ValueError("gamma_e must be non-negative")
 
     @property
     def strong_coupling(self) -> bool:
@@ -88,6 +88,8 @@ class TransferCurve:
             raise ValueError("axis and values must be matching 1-d arrays")
         if np.any(np.diff(axis) <= 0.0):
             raise ValueError("axis must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("transfer values must be finite")
         transmission = np.abs(values) ** 2
         if np.any(transmission > 1.0 + 1e-9):
             raise ValueError("transmission exceeds 1 beyond tolerance")

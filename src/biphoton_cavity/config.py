@@ -177,7 +177,8 @@ def load_config(path) -> SimConfig:
 
 
 def apply_overrides(config: SimConfig, overrides: list[str], where: str = "override") -> SimConfig:
-    """Apply repeatable KEY=VALUE overrides limited to the cavity section."""
+    """Apply repeatable KEY=VALUE overrides limited to the cavity section;
+    an overridden key is no longer listed as defaulted."""
     updates: dict[str, object] = {}
     for item in overrides:
         if "=" not in item:
@@ -190,7 +191,10 @@ def apply_overrides(config: SimConfig, overrides: list[str], where: str = "overr
         updates[attr] = _parse_value(key, raw.strip(), kind, where)
     if not updates:
         return config
-    return dataclasses.replace(config, cavity=dataclasses.replace(config.cavity, **updates))
+    overridden = {f"cavity.{attr}" for attr in updates}
+    return dataclasses.replace(
+        config, cavity=dataclasses.replace(config.cavity, **updates),
+        applied_defaults=tuple(key for key in config.applied_defaults if key not in overridden))
 
 
 def _flatten(config: SimConfig):

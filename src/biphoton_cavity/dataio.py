@@ -12,6 +12,7 @@ chunks that number their lines, and again only when np.loadtxt refuses them.
 """
 
 import os
+import re
 import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ _BLOCK_CELLS = 2048
 # may drop: '#' and the ASCII whitespace but newline that str.strip removes.
 _READ_CHARS = 1 << 16
 _SKIP_MARKS = "#\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # surrogateescape's code for a byte not UTF-8
 
 
 def _fmt(x: float) -> str:
@@ -178,11 +180,12 @@ def _skip_line(line: str, columns: list[str]) -> bool:
 
 def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
     """The data lines of the file at `path`, without newlines, in one list per
-    read, and each list's file line numbers appended to `spans`.  A read with
-    an empty line, a non-ASCII character or one of `_SKIP_MARKS` goes line by
-    line: it loses the lines `_skip_line` drops (setting `columns`) and numbers
-    the others in an index array; any other read is numbered by a range.  A
-    line that is not UTF-8 raises ValueError with its number."""
+    read that has any, and each list's file line numbers appended to `spans`.
+    A read with an empty line, a non-ASCII character or one of `_SKIP_MARKS`
+    goes line by line: it loses the lines `_skip_line` drops (setting
+    `columns`) and numbers the others in an index array; any other read is
+    numbered by a range.  A byte that is not UTF-8 raises ValueError naming
+    its line, found by one search of the read but its unfinished last line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         tail, first, more = "", 1, True
         while more:
@@ -194,25 +197,15 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
             numbers = range(first, first + len(lines))
             first = numbers.stop
             if "" in lines or not text.isascii() or any(mark in text for mark in _SKIP_MARKS):
-                if not text.isascii() and not _is_utf8(text):
-                    for number, line in zip(numbers, lines):  # the tail is checked next read
-                        if not _is_utf8(line):
-                            raise ValueError(f"{path}:{number}: not UTF-8 text")
+                if not text.isascii() and (bad := _NOT_UTF8.search(text, 0, len(text) - len(tail))):
+                    number = numbers.start + text.count("\n", 0, bad.start())
+                    raise ValueError(f"{path}:{number}: not UTF-8 text")
                 keep = [not _skip_line(line.strip(), columns) for line in lines]
                 lines = list(compress(lines, keep))
                 numbers = numbers.start + np.flatnonzero(keep)
-            spans.append(numbers)
-            yield lines
-
-
-def _is_utf8(text: str) -> bool:
-    # surrogateescape decodes each invalid byte to a lone surrogate, which
-    # cannot be encoded back.
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+            if lines:  # an empty range would make the concatenated numbers float
+                spans.append(numbers)
+                yield lines
 
 
 def _parse_rows(path, lines, line_numbers) -> list[list[float]]:
@@ -237,7 +230,7 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     """
     path = Path(path)
     columns: list[str] = []
-    spans: list = []  # the file lines of the data rows, one range or index array per read
+    spans: list = []  # a range or index array per read: joined only for a message or float()
     lines = chain.from_iterable(_data_chunks(path, columns, spans))
     data, rows = None, None
     try:
@@ -248,15 +241,9 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
         # reported before any bad cell.
         spans.clear()
         lines = list(chain.from_iterable(_data_chunks(path, columns, spans)))
-        rows = _parse_rows(path, lines, chain.from_iterable(spans))
+        rows = _parse_rows(path, lines, np.concatenate(spans))
     if data is None and not rows:
         raise ValueError(f"{path}: no data rows")
-
-    def line_of(row: int) -> int:
-        for span in spans:
-            if row < len(span):
-                return span[row]
-            row -= len(span)
 
     # np.loadtxt only returns rectangular data, so its one width stands for every row.
     widths = [data.shape[1]] if rows is None else [len(values) for values in rows]
@@ -272,8 +259,8 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     idx = {name: columns.index(name) for name in columns}
     for row, width in enumerate(widths):
         if width != len(columns):
-            raise ValueError(
-                f"{path}:{line_of(row)}: expected {len(columns)} columns, got {width}")
+            raise ValueError(f"{path}:{np.concatenate(spans)[row]}: "
+                             f"expected {len(columns)} columns, got {width}")
     if rows is not None:
         data = np.array(rows)
 
@@ -283,12 +270,12 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
 
     non_finite = np.nonzero(~np.all(np.isfinite(data), axis=1))[0]
     if non_finite.size:
-        raise ValueError(f"{path}:{line_of(int(non_finite[0]))}: non-finite data")
+        raise ValueError(f"{path}:{np.concatenate(spans)[non_finite[0]]}: non-finite data")
     negative = np.nonzero(intensity_col < 0.0)[0]
     if negative.size:
         k = int(negative[0])
         raise ValueError(
-            f"{path}:{line_of(k)}: negative intensity at cell "
+            f"{path}:{np.concatenate(spans)[k]}: negative intensity at cell "
             f"(signal_nm={signal_col[k]:g}, idler_nm={idler_col[k]:g})"
         )
 

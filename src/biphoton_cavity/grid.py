@@ -16,23 +16,27 @@ TWO_PI_C = 2.0 * np.pi * C_NM_PER_FS
 _UNIFORM_RTOL = 1e-12
 
 
+def _two_pi_c_over(x, message):
+    """2*pi*c / x, which maps nm to rad/fs and back; ValueError(message) unless
+    every x and every result is finite and positive."""
+    x_arr = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        result = TWO_PI_C / x_arr
+    if not np.all(np.isfinite(x_arr) & (x_arr > 0.0) & np.isfinite(result)):
+        raise ValueError(message)
+    return float(result) if np.isscalar(x) else result
+
+
 def omega_from_wavelength(wavelength_nm):
     """Convert vacuum wavelength (nm) to angular frequency (rad/fs)."""
-    lam = np.asarray(wavelength_nm, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        result = TWO_PI_C / lam
-    if not np.all(np.isfinite(lam) & (lam > 0.0) & np.isfinite(result)):
-        raise ValueError("wavelength must be finite and positive, with a finite frequency (nm)")
-    return float(result) if np.isscalar(wavelength_nm) else result
+    return _two_pi_c_over(wavelength_nm, "wavelength must be finite and positive, "
+                          "with a finite frequency (nm)")
 
 
 def wavelength_from_omega(omega_rad_fs):
     """Convert angular frequency (rad/fs) to vacuum wavelength (nm)."""
-    w = np.asarray(omega_rad_fs, dtype=float)
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("angular frequency must be finite and positive (rad/fs)")
-    result = TWO_PI_C / w
-    return float(result) if np.isscalar(omega_rad_fs) else result
+    return _two_pi_c_over(omega_rad_fs, "angular frequency must be finite and positive, "
+                          "with a finite wavelength (rad/fs)")
 
 
 def bandwidth_nm_to_rad_fs(fwhm_nm, center_nm):

@@ -44,8 +44,8 @@ class PumpSpec:
     bandwidth_convention: str = "at_degeneracy"
 
     def __post_init__(self):
-        if self.center_down_nm <= 0.0 or self.bandwidth_nm <= 0.0:
-            raise ValueError("pump center wavelength and bandwidth must be positive")
+        if not (0.0 < self.center_down_nm < np.inf and 0.0 < self.bandwidth_nm < np.inf):
+            raise ValueError("pump center wavelength and bandwidth must be finite and positive")
         if self.bandwidth_nm >= self.center_down_nm / 2.0:
             raise ValueError("pump bandwidth must be below half of the down-converted center")
         if self.bandwidth_convention not in PUMP_CONVENTIONS:
@@ -75,8 +75,8 @@ class FilterSpec:
     fwhm_nm: float
 
     def __post_init__(self):
-        if self.center_nm <= 0.0 or self.fwhm_nm <= 0.0:
-            raise ValueError("filter center wavelength and bandwidth must be positive")
+        if not (0.0 < self.center_nm < np.inf and 0.0 < self.fwhm_nm < np.inf):
+            raise ValueError("filter center wavelength and bandwidth must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class PhaseMatchingSpec:
         if self.kind not in PM_KINDS:
             raise ValueError(f"unknown phase-matching kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.width_nm is None or self.width_nm <= 0.0:
-                raise ValueError("gaussian phase matching requires a positive width_nm")
+            if self.width_nm is None or not 0.0 < self.width_nm < np.inf:
+                raise ValueError("gaussian phase matching requires a finite, positive width_nm")
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class BiphotonAmplitude:
 
     def __post_init__(self):
         dtype = complex if np.iscomplexobj(self.amplitude) else float
-        amp = np.array(self.amplitude, dtype=dtype, order="C")
+        amp = np.asarray(self.amplitude, dtype=dtype, order="C")  # not copied if it fits
         if amp.shape != (self.grid.n_signal, self.grid.n_idler):
             raise ValueError(
                 f"amplitude shape {amp.shape} does not match grid "
@@ -111,7 +111,7 @@ class BiphotonAmplitude:
             )
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitude entries must be finite")
-        amp.setflags(write=False)
+        amp.setflags(write=False)  # the caller's array too, when it was taken over
         object.__setattr__(self, "amplitude", amp)
 
 
@@ -166,11 +166,10 @@ def compose_input_state(
     spectral intensity factorizes into their squared moduli.  The result is
     real (float64) and non-negative.
     """
-    a = pump_envelope(pump, grid)
-    phi = phase_matching_envelope(pm, grid)
-    gs = detection_filter_profile(signal_filter, grid.signal_axis)
-    gi = detection_filter_profile(idler_filter, grid.idler_axis)
-    amp = a * phi * gs[:, None] * gi[None, :]
+    amp = pump_envelope(pump, grid)  # in place, in the order of a*phi*gs*gi: the same bits
+    amp *= phase_matching_envelope(pm, grid)
+    amp *= detection_filter_profile(signal_filter, grid.signal_axis)[:, None]
+    amp *= detection_filter_profile(idler_filter, grid.idler_axis)[None, :]
     return BiphotonAmplitude(grid=grid, amplitude=amp)
 
 

@@ -186,6 +186,18 @@ class TestTransmissionBound:
                 curve = transfer_for(model, axis)
                 assert np.all(curve.transmission <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_transfer_curve_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="transfer values must be finite"):
+            TransferCurve(axis=np.array([1.0, 2.0]), values=np.array([bad, 0.1 + 0j]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    @pytest.mark.parametrize("kind", ["two_sided", "dicke"])
+    def test_model_rejects_bad_emitter_damping(self, kind, bad):
+        with pytest.raises(ValueError, match="gamma_e must be non-negative and finite"):
+            CavityModel(kind=kind, omega_0=W0, gamma=GAMMA, lambda_c=GAMMA, omega_e=W0,
+                        gamma_e=bad)
+
     def test_transfer_curve_rejects_gain(self):
         with pytest.raises(ValueError):
             TransferCurve(axis=np.array([1.0, 2.0]), values=np.array([1.5 + 0j, 0.1 + 0j]))

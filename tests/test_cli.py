@@ -117,6 +117,17 @@ class TestOverrides:
         jsi_out = ingest_measured_jsi(b).intensity
         assert np.max(np.abs(jsi_in - jsi_out)) <= 1e-8 * np.max(jsi_in)
 
+    def test_header_does_not_list_an_overridden_key_as_defaulted(self, config_path,
+                                                                    capsysbinary):
+        assert main(["state", "--config", config_path,
+                     "--cavity-override", "emitter_damping_ratio=0.1"]) == 0
+        out = capsysbinary.readouterr().out
+        header = out[:out.index(b"# columns:")].split(b"\n")
+        assert b"# config.cavity.emitter_damping_ratio = 0.1" in header
+        defaulted = [line for line in header if line.startswith(b"# defaulted: ")]
+        assert len(defaulted) == 1 and b"grid.center_nm" in defaulted[0]
+        assert b"emitter_damping_ratio" not in defaulted[0]
+
     def test_bad_override_exits_1(self, config_path, capsys):
         assert main(["transmit", "--config", config_path, "--cavity-override", "q=1"]) == 1
         assert "unknown cavity key" in capsys.readouterr().err

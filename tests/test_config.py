@@ -145,6 +145,14 @@ class TestOverrides:
         assert out.cavity.coupling_ratio == 1.5
         assert out.pump == config.pump
 
+    def test_overridden_key_is_no_longer_defaulted(self):
+        config = parse_config_text("grid.points = 64\n")
+        assert "cavity.emitter_damping_ratio" in config.applied_defaults
+        out = apply_overrides(config, ["emitter_damping_ratio=0.1", "cavity.kind=dicke"])
+        assert out.applied_defaults == tuple(
+            key for key in config.applied_defaults
+            if key not in ("cavity.emitter_damping_ratio", "cavity.kind"))
+
     def test_unknown_override_rejected(self):
         config = parse_config_text(REFERENCE_TEXT)
         with pytest.raises(ConfigError, match="unknown cavity key"):

@@ -394,6 +394,56 @@ class TestIngestParserEquivalence:
                 assert outcome["intensity"] == np.array([1.0, 2.0, 3.0, expected]).tobytes()
 
 
+@pytest.mark.parametrize("read_chars", [1, 4, 11, 64])
+class TestLineLookupAtEveryReadSize:
+    """Line numbers come from one search per read and one index into the reads' numbers."""
+
+    HEAD = b"# format: jsiv1\n# columns: signal_nm,idler_nm,intensity\n"
+    ROWS = b"700,700,1\n700,690,2\n690,700,3\n690,690,4\n"
+
+    @pytest.mark.parametrize("body, lineno", [
+        # 70 characters follow the byte on its line, so the read that brings
+        # it in ends before that line does, at every read size here
+        (b"700,700,1\n# \xff" + b"x" * 70 + b"\n700,690,2\n690,700,3\n690,690,4\n", 4),
+        (ROWS + b"# trailer \xff", 7),  # the file's last line is unfinished until EOF
+        (b"\n# \xc3\xa9t\xc3\xa9\n700,700,1\n700,\xe9" + b"9" * 70 + b",2\n", 6),
+    ], ids=["long comment", "unterminated last line", "after valid multi-byte"])
+    def test_bad_byte_in_an_unfinished_line(self, tmp_path, monkeypatch, read_chars, body, lineno):
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.HEAD + body)
+        assert _ingest_outcome(path) == f"{path}:{lineno}: not UTF-8 text"
+
+    def test_split_multi_byte_characters_are_not_reported(self, tmp_path, monkeypatch,
+                                                          read_chars):
+        monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        # one comment of 4-byte characters straddles the decoder's 8192-byte
+        # chunks; the two-byte and three-byte ones straddle reads
+        comment = ("# " + "\U0001f600" * 4000 + "\n# " + "é€" * 40 + "\n").encode()
+        path = tmp_path / "split.csv"
+        path.write_bytes(self.HEAD + comment + self.ROWS)
+        assert _ingest_outcome(path)["intensity"] == np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([b"700,700,1", b"700,690,2", b"690,700,inf", b"690,690,4"], ":9: non-finite data"),
+        ([b"700,700,1", b"700,690,2", b"690,700,-3", b"690,690,4"],
+         ":9: negative intensity at cell (signal_nm=690, idler_nm=700)"),
+        ([b"700,700,1,0", b"700,690,2,0", b"690,700,3,0", b"690,690,4,0"],
+         ":5: expected 3 columns, got 4"),
+    ], ids=["non-finite", "negative", "width"])
+    def test_loadtxt_errors_after_blank_and_comment_lines(self, tmp_path, monkeypatch,
+                                                          read_chars, rows, expected):
+        monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        first, second, third, fourth = rows
+        lines = [b"", b"# note", first, b" \t", second, "# r\u00e9sum\u00e9".encode(), third,
+                 fourth]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.HEAD + b"\n".join(lines) + b"\n")
+        assert _ingest_outcome(path) == f"{path}{expected}"
+
+
 class TestCurveExport:
     def test_one_sided_curve_has_unit_transmission_column(self, tmp_path):
         model = CavityModel(kind="one_sided", omega_0=omega_from_wavelength(685.0), gamma=1 / 150)

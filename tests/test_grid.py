@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestWavelengthFromOmega:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             wavelength_from_omega(bad)
+
+
+@pytest.mark.parametrize("convert, message", [
+    (omega_from_wavelength, "wavelength must be finite and positive, with a finite frequency"),
+    (wavelength_from_omega, "angular frequency must be finite and positive, with a finite "
+                            "wavelength"),
+])
+@pytest.mark.parametrize("tiny", [1e-320, np.array([1.0, 1e-320])])
+def test_overflowing_reciprocal_is_refused_without_a_warning(convert, message, tiny):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            convert(tiny)
 
 
 class TestBandwidthConversion:

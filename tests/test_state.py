@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,22 @@ class TestPhaseMatchingEnvelope:
             PhaseMatchingSpec("gaussian")
 
 
+class TestSpecsRefuseNonFinite:
+    """NaN passes every `<=` test, so each spec checks finiteness itself."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: PumpSpec(v, 6.0), "pump center wavelength and bandwidth must be finite"),
+        (lambda v: PumpSpec(685.0, v), "pump center wavelength and bandwidth must be finite"),
+        (lambda v: FilterSpec(v, 8.0), "filter center wavelength and bandwidth must be finite"),
+        (lambda v: FilterSpec(685.0, v), "filter center wavelength and bandwidth must be finite"),
+        (lambda v: PhaseMatchingSpec("gaussian", v), "requires a finite, positive width_nm"),
+    ], ids=["pump center", "pump bandwidth", "filter center", "filter fwhm", "pm width"])
+    def test_each_field(self, build, message, bad):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+
+
 class TestDetectionFilterProfile:
     def test_center_value(self):
         filt = FilterSpec(685.0, 8.0)
@@ -173,6 +191,30 @@ class TestDtypeContract:
             curve = transfer_for(CavityModel("two_sided", omega_from_wavelength(685.0), 1 / 150.0),
                                  state.grid.idler_axis)
             assert apply_idler_transfer(state, curve).amplitude.dtype == np.complex128
+
+    def test_fitting_array_is_taken_over_read_only(self):
+        grid = build_grid(685.0, 40.0, 2)
+        given = np.eye(2)
+        state = BiphotonAmplitude(grid, given)
+        assert state.amplitude is given and not given.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            given[0, 0] = 2.0
+        fortran = np.asfortranarray(np.arange(4.0).reshape(2, 2))
+        assert BiphotonAmplitude(grid, fortran).amplitude is not fortran
+        assert fortran.flags.writeable
+
+    def test_apply_allocates_its_result_once(self):
+        state = make_input_state(points=512)
+        curve = TransferCurve(axis=state.grid.idler_axis, values=np.full(512, 0.5 + 0.5j))
+        result_bytes = 512 * 512 * 16
+        tracemalloc.start()
+        try:
+            out = apply_idler_transfer(state, curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.amplitude.nbytes == result_bytes
+        assert result_bytes <= peak < 1.25 * result_bytes  # a copy in the state would double it
 
     def test_amplitude_keeps_its_kind(self):
         grid = build_grid(685.0, 40.0, 2)
