@@ -9,10 +9,11 @@ Three cavity kinds are supported:
 
 with d = w - w_0 and g the external coupling rate (inverse photon
 lifetime).  The dicke response carries an exact transmission zero and a pi
-phase discontinuity at the emitter frequency.
+phase discontinuity at the emitter frequency.  A TransferCurve keeps only
+the sampled C; its transmission and phase are derived from it when read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,12 +73,13 @@ class CavityModel:
 
 @dataclass(frozen=True)
 class TransferCurve:
-    """Sampled complex C(omega) with derived transmission and unwrapped phase."""
+    """Sampled complex C(omega); |C|^2 and the unwrapped phase are computed
+    when read.  With a phase split the two sides are unwrapped independently,
+    so a physical discontinuity there survives; a sample exactly at the split
+    keeps its raw angle."""
 
     axis: np.ndarray
     values: np.ndarray
-    transmission: np.ndarray = field(init=False)
-    phase: np.ndarray = field(init=False)
     flags: tuple[str, ...] = ()
     _phase_split: float | None = None
 
@@ -90,30 +92,24 @@ class TransferCurve:
             raise ValueError("axis must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("transfer values must be finite")
-        transmission = np.abs(values) ** 2
-        if np.any(transmission > 1.0 + 1e-9):
+        if np.any(np.abs(values) ** 2 > 1.0 + 1e-9):
             raise ValueError("transmission exceeds 1 beyond tolerance")
-        phase = _unwrap_phase(axis, values, self._phase_split)
-        for arr in (axis, values, transmission, phase):
+        for name, arr in (("axis", axis), ("values", values)):
             arr.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "transmission", transmission)
-        object.__setattr__(self, "phase", phase)
+            object.__setattr__(self, name, arr)
 
+    @property
+    def transmission(self) -> np.ndarray:
+        return np.abs(self.values) ** 2
 
-def _unwrap_phase(axis, values, split):
-    """Cumulative unwrapping; with a split point the two sides are unwrapped
-    independently so a physical discontinuity there survives."""
-    raw = np.angle(values)
-    if split is None:
-        return np.unwrap(raw)
-    left = axis < split
-    right = axis > split
-    out = raw.copy()
-    out[left] = np.unwrap(raw[left])
-    out[right] = np.unwrap(raw[right])
-    return out
+    @property
+    def phase(self) -> np.ndarray:
+        phase = np.angle(self.values)
+        if self._phase_split is None:
+            return np.unwrap(phase)
+        for side in (self.axis < self._phase_split, self.axis > self._phase_split):
+            phase[side] = np.unwrap(phase[side])
+        return phase
 
 
 def transfer_for(model: CavityModel, axis: np.ndarray) -> TransferCurve:

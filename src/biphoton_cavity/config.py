@@ -147,7 +147,7 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
             sections.setdefault(section, {})[attr] = seen[key]
     return dataclasses.replace(
         default,
-        applied_defaults=tuple(sorted(set(_SCHEMA) - set(seen))),
+        applied_defaults=tuple(sorted(key for key, _ in _flatten(default) if key not in seen)),
         **{section: dataclasses.replace(getattr(default, section), **given)
            for section, given in sections.items()},
     )

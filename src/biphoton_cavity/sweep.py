@@ -29,28 +29,20 @@ DEFAULT_COUPLING_SERIES = (0.75, 1.0, 1.35, 2.0)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """How a swept parameter enters each sweep point.
+    """The series parameter a swept parameter implies, and the CLI defaults;
+    default_series None means one series at the base value of series_parameter."""
 
-    cavity_arg is the cavity_model_from_config override the parameter sets;
-    None means the parameter changes the config and so the input state.
-    default_series None means one series at the base value of
-    series_parameter.
-    """
-
-    cavity_arg: str | None
     series_parameter: str
     default_values: tuple[float, ...]
     default_series: tuple[float, ...] | None
 
 
 SWEEPS = {
-    "coupling_ratio": SweepSpec(
-        "coupling_ratio", "cavity_detuning_nm", DEFAULT_COUPLING_VALUES, DEFAULT_DETUNING_SERIES
-    ),
-    "cavity_detuning_nm": SweepSpec("detuning_nm", "coupling_ratio", DEFAULT_DETUNING_SERIES, None),
-    "pump_bandwidth_nm": SweepSpec(
-        None, "coupling_ratio", DEFAULT_BANDWIDTH_VALUES, DEFAULT_COUPLING_SERIES
-    ),
+    "coupling_ratio": SweepSpec("cavity_detuning_nm", DEFAULT_COUPLING_VALUES,
+                                DEFAULT_DETUNING_SERIES),
+    "cavity_detuning_nm": SweepSpec("coupling_ratio", DEFAULT_DETUNING_SERIES, None),
+    "pump_bandwidth_nm": SweepSpec("coupling_ratio", DEFAULT_BANDWIDTH_VALUES,
+                                   DEFAULT_COUPLING_SERIES),
 }
 
 
@@ -61,10 +53,10 @@ class SweepPlan:
 
     Construction builds `points`, the sweep's table in output order: one
     (series value, sweep value, point config, dicke CavityModel) row per
-    point, sorted by series value, then sweep value.  A point config carries
-    its swept pump bandwidth, and a model's cavity mode sits at
-    cavity_detuning_nm (default 0) from the emitter line.  A bad value fails
-    here, naming the point's values.
+    point, sorted by series value, then sweep value.  A point is named by its
+    coupling_ratio, cavity_detuning_nm (default 0: the cavity mode on the
+    emitter line) and pump_bandwidth_nm, the one that sets its config's input
+    state.  A bad value fails here, naming the point's values.
     """
 
     base_config: SimConfig
@@ -86,30 +78,30 @@ class SweepPlan:
             raise ValueError("coupling_ratio values must be positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_values", tuple(float(v) for v in self.series_values))
-        base, spec = self.base_config, SWEEPS[self.swept_parameter]
-        configs = dict.fromkeys(values, base)
-        if spec.cavity_arg is None:  # the swept pump bandwidth sets each point's input state
-            for value in values:
-                try:
-                    pump = dataclasses.replace(base.pump, bandwidth_nm=value)
-                except ValueError as exc:
-                    raise ValueError(f"pump_bandwidth_nm value {value:g} with pump.center_down_nm "
-                                     f"= {base.pump.center_down_nm:g}: {exc}") from None
-                configs[value] = dataclasses.replace(base, pump=pump)
-        series_arg = SWEEPS[spec.series_parameter].cavity_arg
-        cavity_args = {"coupling_ratio": base.cavity.coupling_ratio, "detuning_nm": 0.0}
+        base, swept = self.base_config, self.swept_parameter
+        series = SWEEPS[swept].series_parameter
+        named = {"coupling_ratio": base.cavity.coupling_ratio, "cavity_detuning_nm": 0.0,
+                 "pump_bandwidth_nm": base.pump.bandwidth_nm}
         points = []
-        for value, config in configs.items():
-            if spec.cavity_arg is not None:
-                cavity_args[spec.cavity_arg] = value
-            for series_value in self.series_values or (cavity_args[series_arg],):
-                cavity_args[series_arg] = series_value
+        for value in values:
+            named[swept] = value
+            config, width = base, named["pump_bandwidth_nm"]
+            if width != base.pump.bandwidth_nm:  # the one parameter that sets the input state
                 try:
-                    model = cavity_model_from_config(base, kind="dicke", **cavity_args)
+                    pump = dataclasses.replace(base.pump, bandwidth_nm=width)
                 except ValueError as exc:
-                    named = f"{self.swept_parameter} value {value:g}, " if spec.cavity_arg else ""
-                    raise ValueError(f"{named}{spec.series_parameter} value {series_value:g}: "
-                                     f"{exc}") from None
+                    raise ValueError(f"pump_bandwidth_nm value {width:g} with pump.center_down_nm "
+                                     f"= {base.pump.center_down_nm:g}: {exc}") from None
+                config = dataclasses.replace(base, pump=pump)
+            for series_value in self.series_values or (named[series],):
+                named[series] = series_value
+                try:
+                    model = cavity_model_from_config(base, kind="dicke",
+                                                     coupling_ratio=named["coupling_ratio"],
+                                                     detuning_nm=named["cavity_detuning_nm"])
+                except ValueError as exc:  # a pump sweep's models do not depend on its value
+                    where = "" if swept == "pump_bandwidth_nm" else f"{swept} value {value:g}, "
+                    raise ValueError(f"{where}{series} value {series_value:g}: {exc}") from None
                 points.append((series_value, value, config, model))
         object.__setattr__(self, "points", tuple(sorted(points, key=lambda point: point[:2])))
 
@@ -192,9 +184,9 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
             curve = curves.get(model) or transfer_for(model, grid.idler_axis)
             entropy = entropy_of(apply_idler_transfer(state, curve))
             rows[index] = SweepRow(series_value, value, entropy, entropy - s_in, curve.flags)
-        if SWEEPS[plan.swept_parameter].cavity_arg is None:
-            reference_rows.append(ReferenceRow("input", value, s_in))
-            reference_rows.append(ReferenceRow("empty_cavity", value, s_empty))
+        if plan.swept_parameter == "pump_bandwidth_nm":
+            reference_rows.append(ReferenceRow("input", config.pump.bandwidth_nm, s_in))
+            reference_rows.append(ReferenceRow("empty_cavity", config.pump.bandwidth_nm, s_empty))
         del state  # no input state but the base one is held while the next is composed
     return SweepResult(plan, tuple(rows), base_input[1], base_input[2], tuple(reference_rows))
 

@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,16 @@ class TestOverrides:
         defaulted = [line for line in header if line.startswith(b"# defaulted: ")]
         assert len(defaulted) == 1 and b"grid.center_nm" in defaulted[0]
         assert b"emitter_damping_ratio" not in defaulted[0]
+
+    def test_reference_header_lists_only_keys_set_to_a_default(self, tmp_path):
+        # phase_matching.width_nm has no default, so an omitted one is not defaulted
+        reference = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+        out_file = tmp_path / "state.csv"
+        assert main(["state", "--config", str(reference), "--out", str(out_file)]) == 0
+        with open(out_file, "rb") as handle:
+            header = list(itertools.takewhile(lambda line: line.startswith(b"#"), handle))
+        defaulted = [line for line in header if line.startswith(b"# defaulted: ")]
+        assert defaulted == [b"# defaulted: cavity.emitter_damping_ratio\n"]
 
     def test_bad_override_exits_1(self, config_path, capsys):
         assert main(["transmit", "--config", config_path, "--cavity-override", "q=1"]) == 1

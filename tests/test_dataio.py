@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import tracemalloc
@@ -12,6 +13,7 @@ from biphoton_cavity import (
     CavityModel,
     FrequencyGrid,
     SweepPlan,
+    TransferCurve,
     apply_idler_transfer,
     ingest_measured_jsi,
     measured_entropy,
@@ -27,6 +29,7 @@ from biphoton_cavity.config import load_config
 from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_curve, render_jsi, render_sweep
 from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.schmidt import entropy_of
+from test_cavity import GAMMA, W0, dicke
 from test_sweep import small_config
 from conftest import make_input_state, transmitted_state
 
@@ -464,6 +467,32 @@ class TestCurveExport:
         path = tmp_path / "curve.csv"
         dataio.write_lines(path, render_curve(curve))
         assert path.read_text().startswith("# format: curvev1\n")
+
+
+EXACT = W0 + GAMMA * np.arange(-200, 201) / 20.0  # sample 200 is the emitter frequency
+STRADDLE = W0 + GAMMA * (np.arange(-200, 200) + 0.5) / 20.0
+WINDING = 2.0 + np.arange(401) / 100.0  # sample 200 is 4.0
+
+
+class TestCurveBytes:
+    """Rendered curves against pinned sha256 digests, so a change in how the
+    transmission or phase columns are derived from the samples shows here."""
+
+    @pytest.mark.parametrize("curve, digest", [
+        (lambda: transfer_for(dicke(), EXACT),
+         "46f0dc2dfcb96dd025d5cbbd342ddd190ba69171a5de7e8652e74d87ee3b3de7"),
+        (lambda: transfer_for(dicke(omega_0=W0 + GAMMA), STRADDLE),
+         "047c5a3bf3a6b41338ed579305868aebd77617a7ca6acb21d112b8b3ed6c70d1"),
+        (lambda: transfer_for(dicke(lambda_c=1.5 * GAMMA, gamma_e=0.2 * GAMMA), EXACT),
+         "13c9fa638f886bdc2fdc40bb7e93179cb8046ab6aeac26a7596ee5dce6c071d6"),
+        # a phase that winds about 16 turns, split at a sample, which keeps its raw angle
+        (lambda: TransferCurve(WINDING, 0.5 * np.exp(25j * WINDING), _phase_split=4.0),
+         "70466991706a7cdb30ab20bae1396ad10d3a7d1a9ddeac021b186b957d8a34d7"),
+    ], ids=["dicke_exact_emitter_sample", "dicke_straddling_emitter", "dicke_damped",
+            "winding_split"])
+    def test_rendered_curve_digest(self, curve, digest):
+        text = "".join(render_curve(curve()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSweepExport:

@@ -77,6 +77,32 @@ class TestPlanValidation:
             SweepPlan(small_config(), swept, values, series_values=series)
 
 
+class TestPointTable:
+    """Each point's config and model against the ones built from its named values."""
+
+    @pytest.mark.parametrize("swept, values", [
+        ("coupling_ratio", (0.8, 1.2)),
+        ("cavity_detuning_nm", (-1.0, 1.5)),
+        ("pump_bandwidth_nm", (3.0, 6.0, 9.0)),
+    ])
+    @pytest.mark.parametrize("series", [(), (0.9, 1.7)])
+    def test_points_match_their_named_values(self, swept, values, series):
+        base = small_config(coupling_ratio=1.3, center_nm=686.0)
+        plan = SweepPlan(base, swept, values, series_values=series)
+        series_parameter = sweep.SWEEPS[swept].series_parameter
+        at_base = {"coupling_ratio": 1.3, "cavity_detuning_nm": 0.0,
+                   "pump_bandwidth_nm": base.pump.bandwidth_nm}
+        assert [point[:2] for point in plan.points] == [
+            (s, v) for s in series or (at_base[series_parameter],) for v in values]
+        for series_value, value, config, model in plan.points:
+            named = at_base | {series_parameter: series_value, swept: value}
+            assert model == cavity_model_from_config(
+                base, kind="dicke", coupling_ratio=named["coupling_ratio"],
+                detuning_nm=named["cavity_detuning_nm"])
+            assert config == dataclasses.replace(base, pump=dataclasses.replace(
+                base.pump, bandwidth_nm=named["pump_bandwidth_nm"]))
+
+
 class TestCouplingSweep:
     def test_single_value_matches_direct_run(self):
         config = small_config()
@@ -176,9 +202,8 @@ class TestPumpBandwidthSweep:
                          series_values=(1.0, 2.0))
         result = run_sweep(plan)
         assert len(result.rows) == 6
-        kinds = {(r.kind, r.sweep_value) for r in result.reference_rows}
-        assert len(result.reference_rows) == 6
-        assert ("input", 3.0) in kinds and ("empty_cavity", 9.0) in kinds
+        assert [(r.kind, r.sweep_value) for r in result.reference_rows] == [
+            (kind, value) for value in (3.0, 6.0, 9.0) for kind in ("input", "empty_cavity")]
 
     def test_input_entropy_decreases_with_bandwidth(self):
         plan = SweepPlan(small_config(), "pump_bandwidth_nm", (1.0, 3.0, 6.0, 9.0),
