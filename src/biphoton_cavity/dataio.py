@@ -142,8 +142,8 @@ def render_sweep(result: SweepResult) -> list[str]:
 class MeasuredJsi:
     """A measured (or re-ingested) joint spectral map on wavelength axes.
 
-    Axes are strictly monotone but need not be uniform; amplitude is present
-    only when the source file carried re/im columns.
+    Axes are strictly monotone in frequency, either way, and need not be
+    uniform; amplitude is present only when the source file carried re/im columns.
     """
 
     signal_nm: np.ndarray
@@ -153,11 +153,12 @@ class MeasuredJsi:
 
     def __post_init__(self):
         for name, axis in (("signal_nm", self.signal_nm), ("idler_nm", self.idler_nm)):
-            steps = np.diff(axis)
+            try:
+                steps = np.diff(omega_from_wavelength(axis))
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
             if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-                raise ValueError(f"{name} axis must be strictly monotone")
-            if not np.all(np.isfinite(axis) & (axis > 0.0)):
-                raise ValueError(f"{name} axis must be finite and positive (nm)")
+                raise ValueError(f"{name} axis must be strictly monotone in frequency")
         if not np.all(np.isfinite(self.intensity)):
             raise ValueError("intensities must be finite")
         if np.any(self.intensity < 0.0):
@@ -319,12 +320,5 @@ def measured_entropy(measured: MeasuredJsi) -> tuple[float, tuple[str, ...]]:
     intensity_only = measured.amplitude is None
     amp = np.sqrt(measured.intensity) if intensity_only else measured.amplitude
     flags = (INTENSITY_ONLY_FLAG,) if intensity_only else ()
-    signal_omega = omega_from_wavelength(measured.signal_nm)
-    idler_omega = omega_from_wavelength(measured.idler_nm)
-    if signal_omega[0] > signal_omega[-1]:
-        signal_omega = signal_omega[::-1]
-        amp = amp[::-1, :]
-    if idler_omega[0] > idler_omega[-1]:
-        idler_omega = idler_omega[::-1]
-        amp = amp[:, ::-1]
-    return entropy_of_samples(signal_omega, idler_omega, amp), flags
+    axes = map(omega_from_wavelength, (measured.signal_nm, measured.idler_nm))
+    return entropy_of_samples(*axes, amp), flags

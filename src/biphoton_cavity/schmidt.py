@@ -86,23 +86,27 @@ def entropy_of_samples(
 ) -> float:
     """Entropy of an amplitude sampled on possibly non-uniform frequency axes.
 
-    Uses trapezoid quadrature weights per axis; axes must be strictly
-    increasing, in rad/fs.  Intended for ingested (measured) maps.
+    Each axis, in rad/fs, must be strictly monotone in either direction and
+    gives trapezoid quadrature weights.  The amplitude is scaled by the power
+    of two that puts its largest re/im part in [0.5, 1), and the weights by
+    their largest, so no product over- or underflows.  Intended for ingested
+    (measured) maps.
     """
-    ws = np.asarray(signal_axis, dtype=float)
-    wi = np.asarray(idler_axis, dtype=float)
-    amp = np.asarray(amplitude, dtype=complex if np.iscomplexobj(amplitude) else float)
-    if np.any(np.diff(ws) <= 0.0) or np.any(np.diff(wi) <= 0.0):
-        raise ValueError("axes must be strictly increasing")
+    amp = np.ascontiguousarray(amplitude, dtype=complex if np.iscomplexobj(amplitude) else float)
+    ws, wi = (np.sqrt(_trapezoid_weights(axis)) for axis in (signal_axis, idler_axis))
     if amp.shape != (ws.size, wi.size):
         raise ValueError("amplitude shape does not match the axes")
-    weighted = amp * np.sqrt(np.outer(_trapezoid_weights(ws), _trapezoid_weights(wi)))
+    parts = amp.view(float)  # the real view: np.ldexp takes no complex values
+    weighted = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(amp.dtype)
+    weighted *= ws[:, None]  # in place: a weight matrix would raise the peak memory
+    weighted *= wi
     return _spectrum(np.linalg.svd(weighted, compute_uv=False)).entropy
 
 
-def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
-    w = np.empty_like(axis)
-    w[1:-1] = (axis[2:] - axis[:-2]) / 2.0
-    w[0] = (axis[1] - axis[0]) / 2.0
-    w[-1] = (axis[-1] - axis[-2]) / 2.0
-    return w
+def _trapezoid_weights(axis) -> np.ndarray:
+    """|Trapezoid weights| of a strictly monotone axis, over their largest."""
+    steps = np.diff(np.asarray(axis, dtype=float))
+    if steps.size == 0 or not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+        raise ValueError("axes must be strictly monotone, with at least 2 points")
+    w = np.abs(np.append(steps, 0.0) + np.insert(steps, 0, 0.0))
+    return w / w.max()

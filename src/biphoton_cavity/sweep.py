@@ -161,7 +161,8 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     """
     base = plan.base_config
     if base.cavity.kind != "dicke":
-        raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base config")
+        raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base "
+                         f"config, not cavity.kind = {base.cavity.kind}")
     grid = grid_from_config(base)
     empty_curve = transfer_for(cavity_model_from_config(base, kind="two_sided"), grid.idler_axis)
     uses = Counter(model for *_, model in plan.points)

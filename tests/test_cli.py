@@ -213,6 +213,7 @@ class TestErrorPaths:
         ("", ["transmit", "--cavity-override", "kind=dicke",
               "--cavity-override", "coupling_ratio=1e9"], "cavity.coupling_ratio"),
         ("cavity.lifetime_fs = 1e-320", ["transmit"], "cavity.lifetime_fs"),
+        ("", ["sweep-coupling", "--values=1"], "cavity.kind"),
     ])
     def test_bad_grid_or_cavity_names_the_key(self, tmp_path, capsys, setting, argv, key):
         cfg = tmp_path / "bad.cfg"
@@ -389,12 +390,34 @@ class TestIngestCommand:
             (b"700,700,1\n700,710,1\n700,705,1\n690,700,1\n690,710,1\n690,705,1\n", ": "),
             (b"0,700,1\n0,690,1\n-10,700,1\n-10,690,1\n", ": "),  # wavelengths not positive
             (b"700,5,1\n700,0,1\n690,5,1\n690,0,1\n", ": "),
+            # a wavelength so small that its frequency overflows
+            (b"1e-320,700,1\n1e-320,690,1\n690,700,1\n690,690,1\n", ": "),
+            # distinct wavelengths whose frequencies round equal
+            (b"1e15,700,1\n1e15,690,1\n1000000000000000.125,700,1\n"
+             b"1000000000000000.125,690,1\n", ": "),
         ):
             bad.write_bytes(data)
             assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{bad}{where}" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("data, entropy", [
+        # re/im at the float limit: weighting must not overflow to a silent 0
+        (b"1,1,1e308,1e308,1e308\n1,2,1,1,1\n2,1,1,1,1\n2,2,1e308,0,1\n", "0.636514168"),
+        (b"700,700,1.7e308,1.7e308,1\n700,690,0,0,1\n690,700,0,0,1\n690,690,1.7e308,0,1\n",
+         "0.636514168"),
+        # the smallest subnormal: weighting must not underflow to an all-zero map
+        (b"700,700,5e-324,0,1\n700,690,0,0,1\n690,700,0,0,1\n690,690,5e-324,0,1\n",
+         "0.693147181"),
+    ], ids=["max-on-1-2-nm", "max-on-690-700-nm", "subnormal"])
+    @pytest.mark.parametrize("command", ["ingest", "entropy"])
+    def test_entropy_of_amplitudes_at_the_float_limits(self, config_path, tmp_path, capsys,
+                                                       command, data, entropy):
+        measured = tmp_path / "m.csv"
+        measured.write_bytes(data)
+        assert main([command, "--config", config_path, "--in", str(measured)]) == 0
+        assert f"\nentropy_nats = {entropy}\n" in capsys.readouterr().out
 
     def test_jsiv1_files_never_reach_the_fallback_parser(self, config_path, tmp_path,
                                                         monkeypatch):

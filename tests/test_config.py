@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +133,7 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.cfg")
 
     def test_repo_reference_config_parses(self):
-        config = load_config("configs/reference.cfg")
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.cfg")
         assert config.pump.bandwidth_convention == "at_degeneracy"
         assert config.grid.points == 512
 

@@ -713,6 +713,40 @@ class TestIngestValidation:
                 ingest_measured_jsi(path)
 
 
+def eigvalsh_entropy(signal_nm, idler_nm, amplitude):
+    """Entropy of a map on wavelength axes by numpy alone: each axis gets
+    trapezoid weights in angular frequency, and the entropy is that of the
+    eigenvalues of rho = A A^dagger over its trace, A the weighted map."""
+    roots = []
+    for nm in (signal_nm, idler_nm):
+        half_steps = np.abs(np.diff(2.0 * np.pi * 299.792458 / nm)) / 2.0
+        roots.append(np.sqrt(np.append(half_steps, 0.0) + np.insert(half_steps, 0, 0.0)))
+    weighted = amplitude * roots[0][:, None] * roots[1]
+    rho = weighted @ weighted.conj().T
+    p = np.linalg.eigvalsh(rho / np.trace(rho).real)
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log(p)))
+
+
+class TestMeasuredAxisDirection:
+    @pytest.mark.parametrize("signal_step, idler_step", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+    def test_mirrored_map_gives_the_same_entropy(self, tmp_path, rng, signal_step, idler_step):
+        """Ingested axes may run either way: nm ascending or descending, on either axis."""
+        signal = np.sort(rng.uniform(670.0, 700.0, 7))
+        idler = np.sort(rng.uniform(670.0, 700.0, 6))
+        amp = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+        expected = eigvalsh_entropy(signal, idler, amp)
+        lines = ["# columns: signal_nm,idler_nm,re,im,intensity"]
+        for s, row in zip(signal[::signal_step], amp[::signal_step]):
+            for i, a in zip(idler[::idler_step], row[::idler_step]):
+                lines.append(",".join(format(v, ".17g") for v in (s, i, a.real, a.imag, abs(a) ** 2)))
+        path = tmp_path / "mirrored.csv"
+        path.write_text("\n".join(lines) + "\n")
+        entropy, flags = measured_entropy(ingest_measured_jsi(path))
+        assert flags == ()
+        assert entropy == pytest.approx(expected, abs=1e-12)
+
+
 class TestMeasuredIntensityOnly:
     def test_flat_phase_entropy_is_flagged(self, tmp_path):
         # hand-made measured map on a non-uniform wavelength grid

@@ -218,6 +218,15 @@ class TestEntropyOfSamples:
             entropy = entropy_of(scaled)
         assert entropy == pytest.approx(entropy_of(state), abs=1e-15)
 
+    def test_descending_axes_give_the_mirrored_map_entropy(self, rng):
+        signal = np.sort(rng.uniform(2.6, 2.8, 7))
+        idler = np.sort(rng.uniform(2.6, 2.8, 6))
+        amp = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+        ascending = entropy_of_samples(signal, idler, amp)
+        for mirrored in (entropy_of_samples(signal[::-1], idler, amp[::-1]),
+                         entropy_of_samples(signal, idler[::-1], amp[:, ::-1])):
+            assert mirrored == pytest.approx(ascending, abs=1e-12)
+
     def test_rejects_bad_axes(self):
         axis = np.array([1.0, 0.9, 1.2])
         with pytest.raises(ValueError):
