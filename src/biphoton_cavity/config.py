@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cavity import CAVITY_KINDS
+from .grid import build_grid
 from .state import PM_KINDS, PUMP_CONVENTIONS, FilterSpec, PhaseMatchingSpec, PumpSpec
 
 
@@ -138,30 +139,22 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
         seen[key] = _parse_value(key, raw_value, kind, f"{source}:{lineno}")
 
     default = SimConfig()
-    # The state specs validate on construction, so the cross-key checks run
-    # first, on the merged values, to keep messages that name the key.
-    _cross_validate(dict(_flatten(default)) | seen, source)
     sections: dict[str, dict[str, object]] = {}
     for key, (section, attr, _) in _SCHEMA.items():
         if key in seen:
             sections.setdefault(section, {})[attr] = seen[key]
+    for section, given in sections.items():
+        try:  # each cross-key rule lives in the spec, or in build_grid, that it guards
+            sections[section] = built = dataclasses.replace(getattr(default, section), **given)
+            if section == "grid":
+                build_grid(built.center_nm, built.span_nm, built.points)
+        except ValueError as exc:
+            keys = ", ".join(key for key, (owner, _, _) in _SCHEMA.items() if owner == section)
+            raise ConfigError(f"{source}: {keys}: {exc}") from None
     return dataclasses.replace(
         default,
         applied_defaults=tuple(sorted(key for key, _ in _flatten(default) if key not in seen)),
-        **{section: dataclasses.replace(getattr(default, section), **given)
-           for section, given in sections.items()},
-    )
-
-
-def _cross_validate(values: dict[str, object], source: str) -> None:
-    if values["phase_matching.kind"] == "gaussian" and "phase_matching.width_nm" not in values:
-        raise ConfigError(
-            f"{source}: missing required key 'phase_matching.width_nm' for gaussian kind"
-        )
-    if values["grid.span_nm"] >= 2.0 * values["grid.center_nm"]:
-        raise ConfigError(f"{source}: key 'grid.span_nm': span too wide for the center")
-    if values["pump.bandwidth_nm"] >= values["pump.center_down_nm"] / 2.0:
-        raise ConfigError(f"{source}: key 'pump.bandwidth_nm': too wide for the pump center")
+        **sections)
 
 
 def load_config(path) -> SimConfig:

@@ -43,13 +43,16 @@ def bandwidth_nm_to_rad_fs(fwhm_nm, center_nm):
     """First-order conversion of a wavelength FWHM to an angular-frequency width.
 
     Evaluates d(omega)/d(lambda) at the center wavelength:
-    delta_omega = 2*pi*c*delta_lambda / lambda^2.
+    delta_omega = 2*pi*c*delta_lambda / lambda^2, which must come out finite and positive.
     """
-    if not np.isfinite(fwhm_nm) or fwhm_nm <= 0.0:
-        raise ValueError("bandwidth must be finite and positive (nm)")
-    if not np.isfinite(center_nm) or center_nm <= 0.0:
-        raise ValueError("center wavelength must be finite and positive (nm)")
-    return TWO_PI_C * fwhm_nm / center_nm**2
+    if not center_nm > 0.0:
+        raise ValueError("center wavelength must be positive (nm)")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # float64: no OverflowError
+        width = TWO_PI_C * fwhm_nm / np.float64(center_nm) ** 2
+    if not 0.0 < width < np.inf:
+        raise ValueError("bandwidth and center wavelength (nm) must give a finite, positive "
+                         "width in rad/fs")
+    return width
 
 
 def _check_axis(name, axis):

@@ -50,6 +50,7 @@ class PumpSpec:
             raise ValueError("pump bandwidth must be below half of the down-converted center")
         if self.bandwidth_convention not in PUMP_CONVENTIONS:
             raise ValueError(f"unknown pump bandwidth convention {self.bandwidth_convention!r}")
+        self.sum_frequency, self.sigma  # their unit conversions, so a value they refuse fails here
 
     @property
     def sum_frequency(self) -> float:
@@ -77,6 +78,8 @@ class FilterSpec:
     def __post_init__(self):
         if not (0.0 < self.center_nm < np.inf and 0.0 < self.fwhm_nm < np.inf):
             raise ValueError("filter center wavelength and bandwidth must be finite and positive")
+        # the unit conversions detection_filter_profile makes, so a value they refuse fails here
+        omega_from_wavelength(self.center_nm), bandwidth_nm_to_rad_fs(self.fwhm_nm, self.center_nm)
 
 
 @dataclass(frozen=True)

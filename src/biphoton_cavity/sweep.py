@@ -179,7 +179,11 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     rows = [None] * len(plan.points)
     reference_rows = []
     for config, indices in point_indices.items():
-        state, s_in, s_empty = base_input if config == base else measure_input(config)
+        try:  # a point's config differs from the base only in its swept pump bandwidth
+            state, s_in, s_empty = base_input if config == base else measure_input(config)
+        except ValueError as exc:
+            width = config.pump.bandwidth_nm
+            raise ValueError(f"pump_bandwidth_nm value {width:g}: {exc}") from None
         for index in indices:
             series_value, value, _, model = plan.points[index]
             curve = curves.get(model) or transfer_for(model, grid.idler_axis)

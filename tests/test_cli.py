@@ -225,6 +225,34 @@ class TestErrorPaths:
         assert not out_file.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["state", "ingest"])
+    @pytest.mark.parametrize("setting", [
+        # rules across keys, each kept by the spec or grid builder that uses the values
+        "grid.center_nm = 3", "grid.center_nm = 1e300", "grid.span_nm = 2000",
+        "grid.span_nm = 1e-12", "pump.center_down_nm = 3", "pump.bandwidth_nm = 400",
+        "phase_matching.kind = gaussian",
+        # centers outside the range of the nm to rad/fs conversions
+        *(f"{key} = {value}" for key in ("filters.signal.center_nm", "filters.idler.center_nm",
+                                         "pump.center_down_nm") for value in ("1e300", "1.7e308")),
+        *(f"{key} = {value}" for key in ("filters.signal.center_nm", "filters.idler.center_nm")
+          for value in ("1e-320", "5e-324")),
+    ])
+    def test_parse_refusal_names_the_file_and_the_key_set_in_it(self, tmp_path, capsys, setting,
+                                                                command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG + setting + "\n")
+        measured = tmp_path / "two.csv"
+        measured.write_text("# columns: signal_nm,idler_nm,intensity\n"
+                            "700,700,1\n700,690,1\n690,700,1\n690,690,2\n")
+        out_file = tmp_path / "o"
+        extra = ["--in", str(measured)] if command == "ingest" else []
+        assert main([command, "--config", str(cfg), "--out", str(out_file), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {cfg}: ")
+        assert setting.partition(" =")[0] in err
+        assert not out_file.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key", ["cavity.lifetime_fs", "cavity.center_nm", "cavity.emitter_nm"])
     @pytest.mark.parametrize("argv", [
         ["transmit"], ["sweep-coupling", "--values=1"], ["sweep-pump", "--values=1,2"],
@@ -297,6 +325,17 @@ class TestSweepCommands:
         rows = [l.split(",") for l in out_file.read_text().splitlines() if not l.startswith("#")]
         assert [(r[0], r[1], r[3]) for r in rows] == [
             ("coupling_ratio", "0.75", v) for v in ("-2", "0", "2")]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_pump_bandwidth_names_the_swept_value(self, tmp_path, capsys):
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text("grid.points = 32\ncavity.kind = dicke\n")
+        out_file = tmp_path / "pump.csv"
+        assert main(["sweep-pump", "--config", str(cfg), "--out", str(out_file),
+                     "--values=1e-300,1", "--series=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: pump_bandwidth_nm value 1e-300: ")
+        assert not out_file.exists()
 
     def test_bad_values_spec(self, config_path, capsys):
         for command, flag, spec, extra in (

@@ -88,6 +88,15 @@ class TestBandwidthConversion:
         with pytest.raises(ValueError):
             bandwidth_nm_to_rad_fs(8.0, -685.0)
 
+    @pytest.mark.parametrize("fwhm, center", [
+        (8.0, 1e300), (8.0, 1.7e308), (8.0, 1e-200), (1.7e308, 685.0), (1e-300, 1e200),
+    ])
+    def test_width_outside_the_float_range_is_refused_without_a_warning(self, fwhm, center):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rad/fs"):
+                bandwidth_nm_to_rad_fs(fwhm, center)
+
     def test_linear_in_fwhm(self, rng):
         base = bandwidth_nm_to_rad_fs(1.0, 685.0)
         for f in rng.uniform(0.1, 30.0, 50):

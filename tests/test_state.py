@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,25 @@ class TestSpecsRefuseNonFinite:
     def test_each_field(self, build, message, bad):
         with pytest.raises(ValueError, match=message):
             build(bad)
+
+
+class TestSpecsRefuseUnconvertibleValues:
+    """A spec evaluates the unit conversions it later uses, so a value they refuse fails here."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: PumpSpec(1e300, 6.0),
+        lambda: PumpSpec(1.7e308, 6.0, bandwidth_convention="at_pump"),
+        lambda: FilterSpec(1e300, 8.0),
+        lambda: FilterSpec(1.7e308, 8.0),
+        lambda: FilterSpec(1e-320, 8.0),
+        lambda: FilterSpec(5e-324, 8.0),
+        lambda: FilterSpec(685.0, 1.7e308),
+    ])
+    def test_construction_fails(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                build()
 
 
 class TestDetectionFilterProfile:
