@@ -17,7 +17,7 @@ from .grid import (
     omega_from_wavelength,
     wavelength_from_omega,
 )
-from .schmidt import SchmidtSpectrum, entropy_of, entropy_oracle, normalize, schmidt_decompose
+from .schmidt import SchmidtSpectrum, entropy_of, normalize, schmidt_decompose
 from .state import (
     BiphotonAmplitude,
     FilterSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "compose_input_state",
     "detection_filter_profile",
     "entropy_of",
-    "entropy_oracle",
     "find_entropy_crossing",
     "ingest_measured_jsi",
     "load_config",

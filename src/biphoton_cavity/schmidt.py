@@ -2,8 +2,7 @@
 
 The Schmidt weights are the squared singular values of the amplitude matrix
 normalized to sum 1, so any nonzero scale gives the normalized state's
-spectrum and the grid measure drops out.  The independent route, the reduced
-density matrix F F^dagger divided by its trace, needs no normalized state either.
+spectrum and the grid measure drops out.
 """
 
 from dataclasses import dataclass
@@ -39,11 +38,6 @@ def normalize(state: BiphotonAmplitude) -> BiphotonAmplitude:
     return BiphotonAmplitude(grid=state.grid, amplitude=state.amplitude / np.sqrt(total))
 
 
-def _entropy_from_probabilities(p: np.ndarray) -> float:
-    p = p[p > _COEFF_CUTOFF**2 * p.max()]
-    return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for a separable state
-
-
 def _spectrum(singular: np.ndarray) -> SchmidtSpectrum:
     """Schmidt spectrum from the singular values of an amplitude of any nonzero scale."""
     largest = singular.max()
@@ -51,29 +45,14 @@ def _spectrum(singular: np.ndarray) -> SchmidtSpectrum:
         raise ValueError("cannot compute entropy of an all-zero amplitude")
     p = (singular / largest) ** 2  # scaled first: s**2 over- or underflows far from 1
     weights = p / p.sum()
-    return SchmidtSpectrum(np.sqrt(weights), _entropy_from_probabilities(weights),
-                           float(1.0 / np.sum(weights**2)))
+    kept = weights[weights > _COEFF_CUTOFF**2 * weights.max()]
+    entropy = 0.0 - float(np.sum(kept * np.log(kept)))  # +0.0, not -0.0, for a separable state
+    return SchmidtSpectrum(np.sqrt(weights), entropy, float(1.0 / np.sum(weights**2)))
 
 
 def schmidt_decompose(state: BiphotonAmplitude) -> SchmidtSpectrum:
     """Schmidt spectrum, sum(lambda_j^2) = 1, of a state of any nonzero scale, by SVD."""
     return _spectrum(np.linalg.svd(state.amplitude, compute_uv=False))
-
-
-def entropy_oracle(state: BiphotonAmplitude) -> float:
-    """Entropy via the reduced density matrix, independent of the SVD path.
-
-    Builds rho_s = F F^dagger from F over its largest modulus, so that no scale
-    over- or underflows, divides it by its trace and returns -sum(p ln p) of
-    its eigenvalues.  Must agree with schmidt_decompose to 1e-9.
-    """
-    largest = np.abs(state.amplitude).max()
-    if largest == 0.0:
-        raise ValueError("cannot compute entropy of an all-zero amplitude")
-    scaled = state.amplitude / largest
-    rho = scaled @ scaled.conj().T
-    evals = np.linalg.eigvalsh(rho / np.trace(rho).real)
-    return _entropy_from_probabilities(evals[evals > 0.0])
 
 
 def entropy_of(state: BiphotonAmplitude) -> float:

@@ -84,7 +84,7 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class PhaseMatchingSpec:
-    """Envelope on the omega_s - omega_i axis: flat, or Gaussian of given FWHM."""
+    """Envelope on the omega_s - omega_i axis: flat (no width_nm), or Gaussian of FWHM width_nm."""
 
     kind: str = "flat"
     width_nm: float | None = None
@@ -92,9 +92,10 @@ class PhaseMatchingSpec:
     def __post_init__(self):
         if self.kind not in PM_KINDS:
             raise ValueError(f"unknown phase-matching kind {self.kind!r}")
-        if self.kind == "gaussian":
-            if self.width_nm is None or not 0.0 < self.width_nm < np.inf:
-                raise ValueError("gaussian phase matching requires a finite, positive width_nm")
+        if self.kind == "flat" and self.width_nm is not None:
+            raise ValueError("flat phase matching reads no width_nm")
+        if self.kind == "gaussian" and (self.width_nm is None or not 0.0 < self.width_nm < np.inf):
+            raise ValueError("gaussian phase matching requires a finite, positive width_nm")
 
 
 @dataclass(frozen=True)

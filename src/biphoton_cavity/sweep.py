@@ -75,7 +75,7 @@ class SweepPlan:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.swept_parameter == "coupling_ratio" and values[0] <= 0.0:
-            raise ValueError("coupling_ratio values must be positive")
+            raise ValueError(f"coupling_ratio value {values[0]:g}: must be positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_values", tuple(float(v) for v in self.series_values))
         base, swept = self.base_config, self.swept_parameter

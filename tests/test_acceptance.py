@@ -37,7 +37,6 @@ from biphoton_cavity import (
     build_grid,
     compose_input_state,
     entropy_of,
-    entropy_oracle,
     find_entropy_crossing,
     ingest_measured_jsi,
     normalize,
@@ -48,6 +47,7 @@ from biphoton_cavity import (
     transfer_for,
 )
 from biphoton_cavity.dataio import render_jsi, write_lines
+from conftest import entropy_oracle
 
 GAMMA = 1.0 / 150.0
 W685 = omega_from_wavelength(685.0)

@@ -252,6 +252,23 @@ class TestErrorPaths:
         assert setting.partition(" =")[0] in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", ["state", "entropy", "ingest"])
+    @pytest.mark.parametrize("setting", ["", "phase_matching.kind = flat\n"])
+    def test_width_under_flat_phase_matching_is_refused(self, tmp_path, capsys, setting, command):
+        # the flat envelope never reads the width, so an output header must not echo one
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(f"grid.points = 16\n{setting}phase_matching.width_nm = 1e300\n")
+        measured = tmp_path / "two.csv"
+        measured.write_text("# columns: signal_nm,idler_nm,intensity\n"
+                            "700,700,1\n700,690,1\n690,700,1\n690,690,2\n")
+        out_file = tmp_path / "o"
+        extra = ["--in", str(measured)] if command == "ingest" else []
+        assert main([command, "--config", str(cfg), "--out", str(out_file), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: phase_matching.kind, phase_matching.width_nm: "
+            "flat phase matching reads no width_nm\n")
+        assert not out_file.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key", ["cavity.lifetime_fs", "cavity.center_nm", "cavity.emitter_nm"])
     @pytest.mark.parametrize("argv", [
@@ -335,6 +352,18 @@ class TestSweepCommands:
                      "--values=1e-300,1", "--series=1"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: pump_bandwidth_nm value 1e-300: ")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("values, first", [
+        ("--values=0", "0"), ("--values=-1,1", "-1"), ("--values=0:1:0.5", "0"),
+    ])
+    def test_nonpositive_coupling_names_the_value(self, tmp_path, capsys, values, first):
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text("grid.points = 16\ncavity.kind = dicke\n")
+        out_file = tmp_path / "coupling.csv"
+        assert main(["sweep-coupling", "--config", str(cfg), "--out", str(out_file),
+                     values, "--series=0"]) == 1
+        assert capsys.readouterr().err == f"error: coupling_ratio value {first}: must be positive\n"
         assert not out_file.exists()
 
     def test_bad_values_spec(self, config_path, capsys):

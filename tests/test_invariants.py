@@ -30,7 +30,6 @@ from biphoton_cavity import (
     CavityModel,
     FrequencyGrid,
     entropy_of,
-    entropy_oracle,
     load_config,
     transfer_for,
 )
@@ -40,6 +39,7 @@ from biphoton_cavity.pipeline import (
     input_state_from_config,
 )
 from biphoton_cavity.schmidt import entropy_of_samples
+from conftest import entropy_oracle
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 

@@ -9,7 +9,6 @@ from biphoton_cavity import (
     BiphotonAmplitude,
     build_grid,
     entropy_of,
-    entropy_oracle,
     normalize,
     omega_from_wavelength,
     parse_config_text,
@@ -17,7 +16,7 @@ from biphoton_cavity import (
 )
 from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.schmidt import entropy_of_samples
-from conftest import make_input_state
+from conftest import entropy_oracle, make_input_state
 from test_acceptance import ORACLE_TOL, closed_form_entropy, gaussian_coefficients
 
 

@@ -16,7 +16,6 @@ from biphoton_cavity import (
     build_grid,
     compose_input_state,
     detection_filter_profile,
-    entropy_oracle,
     normalize,
     omega_from_wavelength,
     parse_config_text,
@@ -25,7 +24,7 @@ from biphoton_cavity import (
     transfer_for,
 )
 from biphoton_cavity.pipeline import grid_from_config, input_state_from_config
-from conftest import make_input_state
+from conftest import entropy_oracle, make_input_state
 
 # half of bandwidth_nm_to_rad_fs(6, 342.5), oracle-computed
 HALF_PUMP_WIDTH_AT_PUMP = 0.04817266515574882
@@ -94,6 +93,13 @@ class TestPhaseMatchingEnvelope:
             PhaseMatchingSpec("gaussian", width_nm=0.0)
         with pytest.raises(ValueError):
             PhaseMatchingSpec("gaussian")
+
+
+class TestFlatPhaseMatchingTakesNoWidth:
+    @pytest.mark.parametrize("width", [5.0, 1e300])
+    def test_width_refused(self, width):
+        with pytest.raises(ValueError, match="flat phase matching reads no width_nm"):
+            PhaseMatchingSpec("flat", width_nm=width)
 
 
 class TestSpecsRefuseNonFinite:

@@ -52,6 +52,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SweepPlan(small_config(), "pump_bandwidth_nm", (-1.0, 1.0))
 
+    @pytest.mark.parametrize("values, first", [((0.0,), "0"), ((-3.0, -1.0, 1.0), "-3")])
+    def test_nonpositive_coupling_names_the_first_value(self, values, first):
+        with pytest.raises(ValueError, match=rf"^coupling_ratio value {first}: must be positive$"):
+            SweepPlan(small_config(), "coupling_ratio", values)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_pump_bandwidth_naming_it(self, bad):
         with pytest.raises(ValueError, match=rf"pump_bandwidth_nm value {bad:g} .*must be finite"):
