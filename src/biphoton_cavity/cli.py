@@ -26,29 +26,18 @@ OUT_DIR_ENV = "BIPHOTON_CAVITY_OUT_DIR"
 MAX_SWEEP_POINTS = 10_000
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
-
-
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _emit(pieces, out_path):
-    """Write an export's text pieces to `out_path`, or to stdout when it is None."""
+    """Write an export's text pieces to `out_path`, or to stdout when it is None.
+    A relative path is taken under $BIPHOTON_CAVITY_OUT_DIR when that is set."""
     if out_path is None:
         sys.stdout.writelines(pieces)
     else:
+        out_path = os.path.join(os.environ.get(OUT_DIR_ENV) or "", out_path)
         dataio.write_lines(out_path, pieces)
         print(f"wrote {out_path}", file=sys.stderr)
 
@@ -86,7 +75,7 @@ def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
 
 def _cmd_state(args) -> int:
     config = _load(args)
-    _emit(dataio.render_jsi(input_state_from_config(config), config), _resolve_out(args.out))
+    _emit(dataio.render_jsi(input_state_from_config(config), config), args.out)
     return 0
 
 
@@ -95,9 +84,9 @@ def _cmd_transmit(args) -> int:
     grid = grid_from_config(config)
     curve = transfer_for(cavity_model_from_config(config), grid.idler_axis)
     output = apply_idler_transfer(input_state_from_config(config, grid), curve)
-    _emit(dataio.render_jsi(output, config), _resolve_out(args.out))
+    _emit(dataio.render_jsi(output, config), args.out)
     if args.curve_out:
-        _emit(dataio.render_curve(curve, config), _resolve_out(args.curve_out))
+        _emit(dataio.render_curve(curve, config), args.curve_out)
     return 0
 
 
@@ -116,7 +105,7 @@ def _cmd_entropy(args) -> int:
         lines.append(f"entropy_bits = {entropy / math.log(2.0):.9g}")
     else:
         lines.append(f"entropy_nats = {entropy:.9g}")
-    _emit(["\n".join(lines) + "\n"], _resolve_out(args.out))
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -125,8 +114,8 @@ def _cmd_sweep(args) -> int:
     spec = SWEEPS[args.swept_parameter]
     values = _parse_values(args.values, "--values") if args.values else spec.default_values
     series = _parse_values(args.series, "--series") if args.series else spec.default_series
-    plan = SweepPlan(config, args.swept_parameter, values, series_values=series or ())
-    _emit(dataio.render_sweep(run_sweep(plan)), _resolve_out(args.out))
+    plan = SweepPlan(config, args.swept_parameter, values, series_values=series)
+    _emit(dataio.render_sweep(run_sweep(plan)), args.out)
     return 0
 
 
@@ -142,7 +131,7 @@ def _cmd_ingest(args) -> int:
     if flags:
         lines.append(f"# flags: {';'.join(flags)}")
     lines.append(f"entropy_nats = {entropy:.9g}")
-    _emit(["\n".join(lines) + "\n"], _resolve_out(args.out))
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -190,15 +179,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -30,17 +30,17 @@ DEFAULT_COUPLING_SERIES = (0.75, 1.0, 1.35, 2.0)
 @dataclass(frozen=True)
 class SweepSpec:
     """The series parameter a swept parameter implies, and the CLI defaults;
-    default_series None means one series at the base value of series_parameter."""
+    an empty default_series means one series at the base value of series_parameter."""
 
     series_parameter: str
     default_values: tuple[float, ...]
-    default_series: tuple[float, ...] | None
+    default_series: tuple[float, ...]
 
 
 SWEEPS = {
     "coupling_ratio": SweepSpec("cavity_detuning_nm", DEFAULT_COUPLING_VALUES,
                                 DEFAULT_DETUNING_SERIES),
-    "cavity_detuning_nm": SweepSpec("coupling_ratio", DEFAULT_DETUNING_SERIES, None),
+    "cavity_detuning_nm": SweepSpec("coupling_ratio", DEFAULT_DETUNING_SERIES, ()),
     "pump_bandwidth_nm": SweepSpec("coupling_ratio", DEFAULT_BANDWIDTH_VALUES,
                                    DEFAULT_COUPLING_SERIES),
 }
@@ -56,7 +56,8 @@ class SweepPlan:
     point, sorted by series value, then sweep value.  A point is named by its
     coupling_ratio, cavity_detuning_nm (default 0: the cavity mode on the
     emitter line) and pump_bandwidth_nm, the one that sets its config's input
-    state.  A bad value fails here, naming the point's values.
+    state.  A bad value fails here, naming the point's values, as does a sweep
+    value not above the one before it or a series value given twice.
     """
 
     base_config: SimConfig
@@ -67,19 +68,25 @@ class SweepPlan:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.swept_parameter not in SWEEPS:
-            raise ValueError(f"unknown swept parameter {self.swept_parameter!r}")
+        base, swept = self.base_config, self.swept_parameter
+        if swept not in SWEEPS:
+            raise ValueError(f"unknown swept parameter {swept!r}")
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("sweep needs at least one value")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-        if self.swept_parameter == "coupling_ratio" and values[0] <= 0.0:
+        for a, b in zip(values, values[1:]):
+            if b <= a:
+                raise ValueError(f"{swept} value {b:g}: sweep values must be strictly increasing")
+        if swept == "coupling_ratio" and values[0] <= 0.0:
             raise ValueError(f"coupling_ratio value {values[0]:g}: must be positive")
+        series, seen = SWEEPS[swept].series_parameter, set()
+        series_values = tuple(float(v) for v in self.series_values)
+        for series_value in series_values:
+            if series_value in seen:
+                raise ValueError(f"{series} value {series_value:g}: repeated in the series")
+            seen.add(series_value)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "series_values", tuple(float(v) for v in self.series_values))
-        base, swept = self.base_config, self.swept_parameter
-        series = SWEEPS[swept].series_parameter
+        object.__setattr__(self, "series_values", series_values)
         named = {"coupling_ratio": base.cavity.coupling_ratio, "cavity_detuning_nm": 0.0,
                  "pump_bandwidth_nm": base.pump.bandwidth_nm}
         points = []

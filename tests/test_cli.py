@@ -149,13 +149,35 @@ class TestOverrides:
 class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):
         assert main(["explode", "--config", "x"]) == 1
-        assert "usage" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: biphoton-cavity")
+        assert "explode" in lines[0]
 
     def test_unknown_flag_creates_no_file(self, config_path, tmp_path, capsys):
         out_file = tmp_path / "never.csv"
         assert main(["state", "--config", config_path, "--out", str(out_file), "--frobnicate"]) == 1
         assert not out_file.exists()
-        assert "usage" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: biphoton-cavity")
+        assert "--frobnicate" in lines[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["transmit", "--config", "c.cfg", "--values=0"],
+         "biphoton-cavity: unrecognized arguments: --values=0"),
+        (["state"], "biphoton-cavity state: the following arguments are required: --config"),
+        (["entropy", "--config", "c.cfg", "--in"],
+         "biphoton-cavity entropy: argument --in: expected one argument"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["state", "--help"])
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: biphoton-cavity state ") and err == ""
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["entropy", "--config", str(tmp_path / "none.cfg")]) == 2
@@ -364,6 +386,24 @@ class TestSweepCommands:
         assert main(["sweep-coupling", "--config", str(cfg), "--out", str(out_file),
                      values, "--series=0"]) == 1
         assert capsys.readouterr().err == f"error: coupling_ratio value {first}: must be positive\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-coupling", "--values=1", "--series=0,0"],
+         "cavity_detuning_nm value 0: repeated in the series"),
+        (["sweep-pump", "--values=1", "--series=1,2,1"],
+         "coupling_ratio value 1: repeated in the series"),
+        (["sweep-coupling", "--values=2,1"],
+         "coupling_ratio value 1: sweep values must be strictly increasing"),
+        (["sweep-pump", "--values=1,2,2", "--series=1"],
+         "pump_bandwidth_nm value 2: sweep values must be strictly increasing"),
+    ])
+    def test_repeated_or_backward_values_name_the_value(self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text("grid.points = 16\ncavity.kind = dicke\n")
+        out_file = tmp_path / "sweep.csv"
+        assert main([*argv, "--config", str(cfg), "--out", str(out_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_file.exists()
 
     def test_bad_values_spec(self, config_path, capsys):

@@ -1,7 +1,9 @@
 """Properties over the CLI's input surface: a hostile config value, cavity
 override or sweep flag ends in exit 0, or in exit 1 with one stderr line that
-names the key or the flag; a jsiv1 file with one defect ends in exit 0, or in
-exit 1 with one stderr line that names the file.
+names the key or the flag; a flag the command does not take, a missing required
+argument, or a sweep list that repeats or runs backwards ends in exit 1 with one
+such line; a jsiv1 file with one defect ends in exit 0, or in exit 1 with one
+stderr line that names the file.
 
 Each example runs `cli.main` in process on a small dicke config, with every
 warning turned into an error, so a numpy floating-point warning or an escaped
@@ -69,6 +71,18 @@ SHORT_FLAGS = {"sweep-coupling": {"--values": "0.5,1", "--series": "0"},
                "sweep-pump": {"--values": "1,2", "--series": "1"},
                "sweep-detuning": {"--values": "-1,1", "--series": "1"}}
 HUGE_RANGES = (f"1:{2 * MAX_SWEEP_POINTS}:1", "1e-320:1:1e-320", "-1.7e308:1.7e308:1e308")
+# Two increasing values of each sweep flag, written as a refusal prints them, and lists
+# of their indices: the first runs backwards (drawn for --values alone), the rest repeat.
+VALUE_PAIRS = {"sweep-coupling": {"--values": ("0.5", "1"), "--series": ("0", "1")},
+               "sweep-pump": {"--values": ("1", "2"), "--series": ("1", "2")},
+               "sweep-detuning": {"--values": ("-1", "1"), "--series": ("1", "2")}}
+ORDERS = ((1, 0), (0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0))
+# The flags each command takes besides --config, --out and --cavity-override, and flags
+# to draw where a command does not take them; --valuez is --values misspelled.
+OWN_FLAGS = {"state": (), "transmit": ("--curve-out",), "entropy": ("--in", "--bits"),
+             "ingest": ("--in",), **dict.fromkeys(SWEEP_COMMANDS, ("--values", "--series"))}
+STRAY_FLAGS = ("--values", "--series", "--curve-out", "--in", "--bits", "--valuez", "--frobnicate")
+CONFIG = "<config>"  # the dicke config's path, put in when an example runs
 
 
 def run_main(argv):
@@ -82,10 +96,23 @@ def run_main(argv):
 
 @st.composite
 def flag_cases(draw):
-    """A command, its extra arguments, and the names one of which a refusal must carry."""
-    command = draw(st.sampled_from(("transmit", *SWEEP_COMMANDS)))
-    flags = dict(SHORT_FLAGS.get(command, {}))
-    if command == "transmit" or draw(st.booleans()):
+    """A command's arguments, the names one of which a refusal must carry, and whether
+    the command must refuse them."""
+    command = draw(st.sampled_from(tuple(OWN_FLAGS)))
+    required = {"--config": CONFIG, **({"--in": "measured.csv"} if command == "ingest" else {})}
+    flags, extra = dict(SHORT_FLAGS.get(command, {})), []
+    kinds = ["stray flag", "missing argument"]
+    kinds += ["override"] if command == "transmit" or command in SWEEP_COMMANDS else []
+    kinds += ["hostile sweep flag", "out of order"] if command in SWEEP_COMMANDS else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "stray flag":
+        flag = draw(st.sampled_from([f for f in STRAY_FLAGS if f not in OWN_FLAGS[command]]))
+        extra, named = [draw(st.sampled_from((flag, f"{flag}=1")))], [flag]
+    elif kind == "missing argument":
+        flag = draw(st.sampled_from(tuple(required)))
+        del required[flag]
+        named = [flag]
+    elif kind == "override":
         key, value = draw(st.sampled_from(OVERRIDE_KEYS)), draw(st.sampled_from(HOSTILE_VALUES))
         extra = ["--cavity-override", f"{key.partition('.')[2]}={value}"]
         named = [key]
@@ -93,25 +120,39 @@ def flag_cases(draw):
             named.append(SWEEP_STAND_INS[key])
     else:
         flag = draw(st.sampled_from(("--values", "--series")))
-        flags[flag] = draw(st.sampled_from(HOSTILE_VALUES + HUGE_RANGES))
         swept = SWEEP_COMMANDS[command]
         parameter = swept if flag == "--values" else SWEEPS[swept].series_parameter
-        extra, named = [], [flag, f"{parameter} value "]
-    return [command, *extra, *(f"{flag}={value}" for flag, value in flags.items())], named
+        if kind == "hostile sweep flag":
+            flags[flag] = draw(st.sampled_from(HOSTILE_VALUES + HUGE_RANGES))
+            named = [flag, f"{parameter} value "]
+        else:
+            pair = VALUE_PAIRS[command][flag]
+            order = draw(st.sampled_from(ORDERS if flag == "--values" else ORDERS[1:]))
+            flags[flag] = ",".join(pair[i] for i in order)
+            if flag == "--values":  # the first value not above the one before it
+                bad = next(b for a, b in zip(order, order[1:]) if b <= a)
+                named = [f"{parameter} value {pair[bad]}: sweep values must be strictly increasing"]
+            else:  # the first value seen before
+                bad = next(i for k, i in enumerate(order) if i in order[:k])
+                named = [f"{parameter} value {pair[bad]}: repeated in the series"]
+    argv = [command, *extra, *(f"{flag}={value}" for flag, value in flags.items())]
+    argv += [part for flag, value in required.items() for part in (flag, value)]
+    return argv, named, kind in ("stray flag", "missing argument", "out of order")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(case=flag_cases())
 def test_hostile_override_or_sweep_flag_ends_in_one_line_naming_it(workdir, case):
-    argv, named = case
+    argv, named, refused = case
     cfg = workdir / "dicke.cfg"
     cfg.write_text(BASE_CFG)
     out_file = workdir / "out"
     out_file.unlink(missing_ok=True)
-    code, lines = run_main([*argv, "--config", str(cfg), "--out", str(out_file)])
+    argv = [str(cfg) if part == CONFIG else part for part in argv]
+    code, lines = run_main([*argv, "--out", str(out_file)])
     assert code in (0, 1)
     if code == 0:
-        assert out_file.exists()
+        assert not refused and out_file.exists()
         return
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert any(name in lines[0] for name in named), lines[0]

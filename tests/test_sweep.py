@@ -52,6 +52,29 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SweepPlan(small_config(), "pump_bandwidth_nm", (-1.0, 1.0))
 
+    @pytest.mark.parametrize("swept, values, bad", [
+        ("coupling_ratio", (2.0, 1.0), "1"),
+        ("coupling_ratio", (0.5, 1.0, 1.0), "1"),
+        ("pump_bandwidth_nm", (1.0, 3.0, 2.5, 4.0), "2.5"),
+        ("cavity_detuning_nm", (-1.0, -1.0), "-1"),
+    ])
+    def test_values_out_of_order_name_the_first_such_value(self, swept, values, bad):
+        with pytest.raises(ValueError, match=rf"^{swept} value {bad}: sweep values must be "
+                                             r"strictly increasing$"):
+            SweepPlan(small_config(), swept, values)
+
+    @pytest.mark.parametrize("swept, series, repeated", [
+        ("coupling_ratio", (0.0, 0.0), "0"),
+        ("coupling_ratio", (2.0, -2.0, 0.0, -2.0), "-2"),
+        ("pump_bandwidth_nm", (1.0, 1.0), "1"),
+        ("cavity_detuning_nm", (2.0, 1.0, 2.0), "2"),
+    ])
+    def test_repeated_series_value_is_named(self, swept, series, repeated):
+        parameter = sweep.SWEEPS[swept].series_parameter
+        with pytest.raises(ValueError, match=rf"^{parameter} value {repeated}: repeated in the "
+                                             r"series$"):
+            SweepPlan(small_config(), swept, (1.0,), series_values=series)
+
     @pytest.mark.parametrize("values, first", [((0.0,), "0"), ((-3.0, -1.0, 1.0), "-3")])
     def test_nonpositive_coupling_names_the_first_value(self, values, first):
         with pytest.raises(ValueError, match=rf"^coupling_ratio value {first}: must be positive$"):
