@@ -18,12 +18,9 @@ from .config import ConfigError, apply_overrides, load_config
 from .pipeline import cavity_model_from_config, grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
-from .sweep import SWEEPS, SweepPlan, run_sweep
+from .sweep import MAX_SWEEP_POINTS, SWEEPS, SweepPlan, run_sweep
 
 OUT_DIR_ENV = "BIPHOTON_CAVITY_OUT_DIR"
-
-# Most points a --values or --series range may expand to.
-MAX_SWEEP_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):

@@ -63,8 +63,11 @@ def _header(format_name: str, config: SimConfig | None, columns: str, extra=()) 
 def write_lines(path, pieces: Iterable[str]) -> None:
     """Write the concatenation of `pieces` to `path`, atomically."""
     path = Path(path)
-    if path.parent and not path.parent.is_dir():
-        raise OSError(f"output directory does not exist: {path.parent}")
+    if path.is_dir():
+        raise OSError(f"output path is a directory: {path}")
+    if not path.parent.is_dir():
+        problem = "is not a directory" if path.parent.exists() else "does not exist"
+        raise OSError(f"output directory {problem}: {path.parent}")
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         # mkstemp creates the file 0600; give it the mode open() would.

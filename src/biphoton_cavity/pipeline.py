@@ -57,11 +57,10 @@ def _zero_state_message(config: SimConfig, grid: FrequencyGrid) -> str:
 
 def cavity_model_from_config(
     config: SimConfig,
-    kind: str | None = None,
     coupling_ratio: float | None = None,
     detuning_nm: float | None = None,
 ) -> CavityModel:
-    """The configured cavity, with optional kind and coupling_ratio overrides.
+    """The configured cavity, with an optional coupling_ratio override.
 
     A detuning_nm places the cavity mode that far from the emitter line, to
     first order at the emitter wavelength (|d omega / d lambda| =
@@ -70,17 +69,15 @@ def cavity_model_from_config(
     ConfigError that names the cavity.* values it was built from.
     """
     c = config.cavity
-    overridden = {"cavity.kind": kind, "cavity.coupling_ratio": coupling_ratio,
-                  "cavity.center_nm": detuning_nm}
-    kind = c.kind if kind is None else kind
-    dicke = kind == "dicke"
+    overridden = {"cavity.coupling_ratio": coupling_ratio, "cavity.center_nm": detuning_nm}
+    dicke = c.kind == "dicke"
     ratio = c.coupling_ratio if coupling_ratio is None else coupling_ratio
     gamma = 1.0 / c.lifetime_fs
     try:
         emitter = omega_from_wavelength(c.emitter_nm) if dicke or detuning_nm is not None else None
         omega_0 = (omega_from_wavelength(c.center_nm) if detuning_nm is None
                    else emitter + detuning_nm * (emitter / c.emitter_nm))
-        return CavityModel(kind, omega_0, gamma, lambda_c=ratio * gamma if dicke else 0.0,
+        return CavityModel(c.kind, omega_0, gamma, lambda_c=ratio * gamma if dicke else 0.0,
                            omega_e=emitter if dicke else None,
                            gamma_e=c.emitter_damping_ratio * gamma if dicke else 0.0)
     except ValueError as exc:  # CavityModel names its own field; add the cavity.* values

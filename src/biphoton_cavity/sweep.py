@@ -7,7 +7,6 @@ Sweep points are independent pure computations; rows come out sorted by
 """
 
 import dataclasses
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,8 @@ DEFAULT_COUPLING_VALUES = tuple(np.round(np.arange(0.5, 3.0 + 1e-9, 0.05), 10))
 DEFAULT_DETUNING_SERIES = (-4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_BANDWIDTH_VALUES = tuple(np.round(np.arange(0.5, 10.0 + 1e-9, 0.25), 10))
 DEFAULT_COUPLING_SERIES = (0.75, 1.0, 1.35, 2.0)
+# Most points a sweep's table, or one --values or --series range, may hold.
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class SweepPlan:
     point, sorted by series value, then sweep value.  A point is named by its
     coupling_ratio, cavity_detuning_nm (default 0: the cavity mode on the
     emitter line) and pump_bandwidth_nm, the one that sets its config's input
-    state.  A bad value fails here, naming the point's values, as does a sweep
-    value not above the one before it or a series value given twice.
+    state.  A bad value fails here, naming the point's values, as do a base
+    config without a dicke cavity, a sweep value not above the one before it,
+    a series value given twice and a table of more than MAX_SWEEP_POINTS.
     """
 
     base_config: SimConfig
@@ -71,6 +73,9 @@ class SweepPlan:
         base, swept = self.base_config, self.swept_parameter
         if swept not in SWEEPS:
             raise ValueError(f"unknown swept parameter {swept!r}")
+        if base.cavity.kind != "dicke":
+            raise ValueError(f"{swept} sweep requires a dicke cavity in the base config, "
+                             f"not cavity.kind = {base.cavity.kind}")
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("sweep needs at least one value")
@@ -85,6 +90,9 @@ class SweepPlan:
             if series_value in seen:
                 raise ValueError(f"{series} value {series_value:g}: repeated in the series")
             seen.add(series_value)
+        if len(values) * max(len(series_values), 1) > MAX_SWEEP_POINTS:
+            raise ValueError(f"{swept} x {series}: {len(values)} x {max(len(series_values), 1)} "
+                             f"points; the limit is {MAX_SWEEP_POINTS}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "series_values", series_values)
         named = {"coupling_ratio": base.cavity.coupling_ratio, "cavity_detuning_nm": 0.0,
@@ -103,8 +111,7 @@ class SweepPlan:
             for series_value in self.series_values or (named[series],):
                 named[series] = series_value
                 try:
-                    model = cavity_model_from_config(base, kind="dicke",
-                                                     coupling_ratio=named["coupling_ratio"],
+                    model = cavity_model_from_config(base, coupling_ratio=named["coupling_ratio"],
                                                      detuning_nm=named["cavity_detuning_nm"])
                 except ValueError as exc:  # a pump sweep's models do not depend on its value
                     where = "" if swept == "pump_bandwidth_nm" else f"{swept} value {value:g}, "
@@ -160,20 +167,15 @@ class Crossing:
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Entropy of the dicke-transformed state at every point of the plan's table.
 
-    The base config must select a dicke cavity.  Each distinct input state
-    is composed and measured once, and each model's curve sampled once; only
-    curves that points share are held.  delta_vs_input is taken against the
-    point's own input state.  When the swept parameter changes the input
-    state, per-value input and empty-cavity reference rows are added.
+    Each distinct input state is composed and measured once, and each point's
+    curve is sampled where it is used.  The empty-cavity reference is the base
+    cavity at zero coupling, the two-sided filter.  delta_vs_input is taken
+    against the point's own input state.  When the swept parameter changes the
+    input state, per-value input and empty-cavity reference rows are added.
     """
     base = plan.base_config
-    if base.cavity.kind != "dicke":
-        raise ValueError(f"{plan.swept_parameter} sweep requires a dicke cavity in the base "
-                         f"config, not cavity.kind = {base.cavity.kind}")
     grid = grid_from_config(base)
-    empty_curve = transfer_for(cavity_model_from_config(base, kind="two_sided"), grid.idler_axis)
-    uses = Counter(model for *_, model in plan.points)
-    curves = {model: transfer_for(model, grid.idler_axis) for model in uses if uses[model] > 1}
+    empty_curve = transfer_for(cavity_model_from_config(base, coupling_ratio=0.0), grid.idler_axis)
 
     def measure_input(config):
         state = input_state_from_config(config, grid)
@@ -193,7 +195,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
             raise ValueError(f"pump_bandwidth_nm value {width:g}: {exc}") from None
         for index in indices:
             series_value, value, _, model = plan.points[index]
-            curve = curves.get(model) or transfer_for(model, grid.idler_axis)
+            curve = transfer_for(model, grid.idler_axis)
             entropy = entropy_of(apply_idler_transfer(state, curve))
             rows[index] = SweepRow(series_value, value, entropy, entropy - s_in, curve.flags)
         if plan.swept_parameter == "pump_bandwidth_nm":

@@ -323,6 +323,26 @@ class TestErrorPaths:
         target = tmp_path / "no" / "dir" / "x.csv"
         assert main(["state", "--config", config_path, "--out", str(target)]) == 2
 
+    @pytest.mark.parametrize("command", [["state"], ["sweep-detuning", "--values=0,1"]])
+    @pytest.mark.parametrize("out", ["dir", ".", "", "ABSOLUTE"])
+    def test_out_naming_a_directory_is_refused(self, tmp_path, capsys, monkeypatch, command, out):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dicke.cfg").write_text("grid.points = 16\ncavity.kind = dicke\n")
+        out = str(tmp_path / "dir") if out == "ABSOLUTE" else out
+        assert main([*command, "--config", "dicke.cfg", "--out", out]) == 2
+        assert capsys.readouterr().err == f"i/o error: output path is a directory: {out or '.'}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dicke.cfg", "dir"]
+
+    def test_out_under_a_file_names_that_file(self, config_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x\n")
+        assert main(["state", "--config", config_path, "--out", str(taken / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"i/o error: output directory is not a directory: {taken}\n"
+        assert taken.read_text() == "x\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg", "taken"]
+
 
 class TestSweepCommands:
     def test_sweep_coupling_with_values(self, config_path, tmp_path):
@@ -404,6 +424,23 @@ class TestSweepCommands:
         out_file = tmp_path / "sweep.csv"
         assert main([*argv, "--config", str(cfg), "--out", str(out_file)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_file.exists()
+
+    def test_oversize_table_is_refused_before_any_point_runs(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import biphoton_cavity.cli as cli
+
+        def refuse(plan):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text("grid.points = 16\ncavity.kind = dicke\n")
+        out_file = tmp_path / "coupling.csv"
+        assert main(["sweep-coupling", "--config", str(cfg), "--out", str(out_file),
+                     "--values=0.5:3:0.0005", "--series=0,1"]) == 1
+        assert capsys.readouterr().err == ("error: coupling_ratio x cavity_detuning_nm: 5001 x 2 "
+                                           "points; the limit is 10000\n")
         assert not out_file.exists()
 
     def test_bad_values_spec(self, config_path, capsys):

@@ -523,6 +523,12 @@ class TestAtomicWrites:
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_target_fails_before_any_temp_file(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError, match=r"^output path is a directory: .*dir$"):
+            dataio.write_lines(tmp_path / "dir", ["x\n"])
+        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
     def test_mode_follows_umask(self, tmp_path, umask, mode):

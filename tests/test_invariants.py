@@ -33,6 +33,7 @@ from biphoton_cavity import (
     load_config,
     transfer_for,
 )
+from biphoton_cavity.config import apply_overrides
 from biphoton_cavity.pipeline import (
     cavity_model_from_config,
     grid_from_config,
@@ -142,9 +143,10 @@ def reference():
 @pytest.mark.parametrize("name", ROUTES)
 def test_mirror_about_the_emitter(reference, name, detuning_nm):
     config, grid, amplitude = reference
+    dicke = apply_overrides(config, ["kind=dicke"])
     entropies = [
         ROUTES[name](grid, amplitude * transfer_for(
-            cavity_model_from_config(config, kind="dicke", coupling_ratio=0.5, detuning_nm=sign),
+            cavity_model_from_config(dicke, coupling_ratio=0.5, detuning_nm=sign),
             grid.idler_axis).values)
         for sign in (detuning_nm, -detuning_nm)
     ]

@@ -80,6 +80,25 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=rf"^coupling_ratio value {first}: must be positive$"):
             SweepPlan(small_config(), "coupling_ratio", values)
 
+    def test_oversize_table_is_refused_before_any_point_is_built(self, monkeypatch):
+        built = []
+        build = sweep.cavity_model_from_config
+        monkeypatch.setattr(sweep, "cavity_model_from_config",
+                            lambda *a, **k: built.append(k) or build(*a, **k))
+        values = tuple(0.5 + 0.0005 * i for i in range(5001))
+        with pytest.raises(ValueError, match=r"^coupling_ratio x cavity_detuning_nm: 5001 x 2 "
+                                             r"points; the limit is 10000$"):
+            SweepPlan(small_config(), "coupling_ratio", values, series_values=(0.0, 1.0))
+        assert built == []
+
+    @pytest.mark.parametrize("values, series", [(10_000, 0), (5000, 2), (1, 10_000)])
+    def test_table_at_the_point_limit_is_planned(self, monkeypatch, values, series):
+        model = cavity_model_from_config(small_config())
+        monkeypatch.setattr(sweep, "cavity_model_from_config", lambda *a, **k: model)
+        plan = SweepPlan(small_config(), "cavity_detuning_nm", tuple(range(values)),
+                         series_values=tuple(0.5 + i for i in range(series)))
+        assert len(plan.points) == sweep.MAX_SWEEP_POINTS
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_pump_bandwidth_naming_it(self, bad):
         with pytest.raises(ValueError, match=rf"pump_bandwidth_nm value {bad:g} .*must be finite"):
@@ -125,7 +144,7 @@ class TestPointTable:
         for series_value, value, config, model in plan.points:
             named = at_base | {series_parameter: series_value, swept: value}
             assert model == cavity_model_from_config(
-                base, kind="dicke", coupling_ratio=named["coupling_ratio"],
+                base, coupling_ratio=named["coupling_ratio"],
                 detuning_nm=named["cavity_detuning_nm"])
             assert config == dataclasses.replace(base, pump=dataclasses.replace(
                 base.pump, bandwidth_nm=named["pump_bandwidth_nm"]))
@@ -182,9 +201,9 @@ class TestCouplingSweep:
 
     def test_requires_dicke_config(self):
         config = small_config(kind="two_sided")
-        plan = SweepPlan(config, "coupling_ratio", (1.0,))
-        with pytest.raises(ValueError):
-            run_sweep(plan)
+        with pytest.raises(ValueError, match=r"^coupling_ratio sweep requires a dicke cavity in "
+                                             r"the base config, not cavity\.kind = two_sided$"):
+            SweepPlan(config, "coupling_ratio", (1.0,))
 
 
 class TestDetuningSweep:
@@ -210,7 +229,7 @@ class TestDetuningSweep:
         assert result.rows[0].entropy != result.rows[1].entropy
         around = emitter_omega + np.array([-1e-9, 0.0, 1e-9])
         for detuning in plan.values:
-            model = cavity_model_from_config(config, kind="dicke", detuning_nm=detuning)
+            model = cavity_model_from_config(config, detuning_nm=detuning)
             assert model.omega_e == emitter_omega
             transmission = transfer_for(model, around).transmission
             assert transmission[1] == 0.0
@@ -289,8 +308,26 @@ class TestSweepTable:
             entropy_of(input_state_from_config(config)), abs=1e-12)
 
 
+class TestEmptyCavityReference:
+    """The empty-cavity reference is the two-sided filter at the configured cavity.center_nm,
+    also for a base cavity off the emitter line and with emitter damping."""
+
+    def test_reference_entropies_equal_the_two_sided_route(self):
+        base = small_config(center_nm=686.0, emitter_damping_ratio=0.1)
+        result = run_sweep(SweepPlan(base, "pump_bandwidth_nm", (3.0, 6.0), series_values=(1.0,)))
+        empty = CavityModel("two_sided", omega_from_wavelength(686.0),
+                            1.0 / base.cavity.lifetime_fs)
+        assert result.empty_cavity_entropy == entropy_of(transmitted_state(base, empty))
+        references = [r for r in result.reference_rows if r.kind == "empty_cavity"]
+        assert [r.sweep_value for r in references] == [3.0, 6.0]
+        for row in references:
+            point = dataclasses.replace(
+                base, pump=dataclasses.replace(base.pump, bandwidth_nm=row.sweep_value))
+            assert row.entropy == entropy_of(transmitted_state(point, empty))
+
+
 class TestSweepWork:
-    """Each point's model is built once, each model's curve sampled once, and each
+    """Each point's model is built once, each point's curve sampled once, and each
     distinct input state composed once."""
 
     @pytest.mark.parametrize("swept, values, series", [
@@ -309,18 +346,17 @@ class TestSweepWork:
         assert [point[:2] for point in plan.points] == [
             (r.series_value, r.sweep_value) for r in result.rows]
 
-    @pytest.mark.parametrize("swept, values, series, curves", [
-        ("coupling_ratio", (0.8, 1.2), (2.0, -2.0, 0.0), 6),
-        ("pump_bandwidth_nm", (3.0, 6.0, 9.0), (1.0, 2.0), 2),
+    @pytest.mark.parametrize("swept, values, series", [
+        ("coupling_ratio", (0.8, 1.2), (2.0, -2.0, 0.0)),
+        ("pump_bandwidth_nm", (3.0, 6.0, 9.0), (1.0, 2.0)),
     ])
-    def test_one_transfer_curve_per_model(self, monkeypatch, swept, values, series, curves):
+    def test_one_transfer_curve_per_model(self, monkeypatch, swept, values, series):
         sampled = []
         monkeypatch.setattr(sweep, "transfer_for",
                             lambda model, axis: sampled.append(model) or transfer_for(model, axis))
         plan = SweepPlan(small_config(), swept, values, series_values=series)
         result = run_sweep(plan)
-        assert len(sampled) == curves + 1  # and one for the empty-cavity reference
-        assert len(set(sampled)) == len(sampled)
+        assert len(sampled) == len(result.rows) + 1  # and one for the empty-cavity reference
         assert [r.entropy for r in result.rows] == [
             entropy_of(transmitted_state(config, model)) for *_, config, model in plan.points]
 
