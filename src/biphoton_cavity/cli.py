@@ -15,7 +15,7 @@ import numpy as np
 from . import dataio
 from .cavity import transfer_for
 from .config import ConfigError, apply_overrides, load_config
-from .pipeline import cavity_model_from_config, grid_from_config, input_state_from_config
+from .pipeline import grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
 from .sweep import MAX_SWEEP_POINTS, SWEEPS, SweepPlan, run_sweep
@@ -79,10 +79,10 @@ def _cmd_state(args) -> int:
 def _cmd_transmit(args) -> int:
     config = _load(args)
     grid = grid_from_config(config)
-    curve = transfer_for(cavity_model_from_config(config), grid.idler_axis)
+    curve = transfer_for(config.cavity.model(), grid.idler_axis)
     output = apply_idler_transfer(input_state_from_config(config, grid), curve)
     _emit(dataio.render_jsi(output, config), args.out)
-    if args.curve_out:
+    if args.curve_out is not None:
         _emit(dataio.render_curve(curve, config), args.curve_out)
     return 0
 
@@ -109,8 +109,8 @@ def _cmd_entropy(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args)
     spec = SWEEPS[args.swept_parameter]
-    values = _parse_values(args.values, "--values") if args.values else spec.default_values
-    series = _parse_values(args.series, "--series") if args.series else spec.default_series
+    values = spec.default_values if args.values is None else _parse_values(args.values, "--values")
+    series = spec.default_series if args.series is None else _parse_values(args.series, "--series")
     plan = SweepPlan(config, args.swept_parameter, values, series_values=series)
     _emit(dataio.render_sweep(run_sweep(plan)), args.out)
     return 0

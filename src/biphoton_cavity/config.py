@@ -2,7 +2,8 @@
 file format (dotted keys, one `key = value` per line, '#' comments).
 
 The pump, phase-matching and filter sections are the state specs that
-compose_input_state takes.
+compose_input_state takes.  Every section checks itself when built (the grid
+section builds its grid, the cavity section its CavityModel).
 
 Unknown keys are rejected; omitted keys take the documented defaults and the
 applied defaults are recorded on the returned config.
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cavity import CAVITY_KINDS
-from .grid import build_grid
+from .cavity import CAVITY_KINDS, CavityModel
+from .grid import build_grid, omega_from_wavelength
 from .state import PM_KINDS, PUMP_CONVENTIONS, FilterSpec, PhaseMatchingSpec, PumpSpec
 
 
@@ -35,6 +36,9 @@ class GridConfig:
     span_nm: float = 40.0
     points: int = 512
 
+    def __post_init__(self):
+        build_grid(self.center_nm, self.span_nm, self.points)  # the span rule lives there
+
 
 @dataclass(frozen=True)
 class CavityConfig:
@@ -44,6 +48,25 @@ class CavityConfig:
     coupling_ratio: float = 1.0
     emitter_nm: float = 685.0
     emitter_damping_ratio: float = 0.0
+
+    def __post_init__(self):
+        self.model()  # so a cavity that CavityModel or a unit conversion refuses fails here
+
+    def model(self, coupling_ratio: float | None = None,
+              detuning_nm: float | None = None) -> CavityModel:
+        """This cavity, with an optional coupling_ratio override.  A detuning_nm
+        places the cavity mode that far from the emitter line, to first order at
+        the emitter wavelength (|d omega / d lambda| = omega/lambda; positive is
+        higher frequency), instead of at center_nm."""
+        dicke = self.kind == "dicke"
+        ratio = self.coupling_ratio if coupling_ratio is None else coupling_ratio
+        gamma = 1.0 / self.lifetime_fs
+        emitter = omega_from_wavelength(self.emitter_nm) if dicke or detuning_nm is not None else None
+        omega_0 = (omega_from_wavelength(self.center_nm) if detuning_nm is None
+                   else emitter + detuning_nm * (emitter / self.emitter_nm))
+        return CavityModel(self.kind, omega_0, gamma, lambda_c=ratio * gamma if dicke else 0.0,
+                           omega_e=emitter if dicke else None,
+                           gamma_e=self.emitter_damping_ratio * gamma if dicke else 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,6 +105,11 @@ _SCHEMA: dict[str, tuple[str, str, str | tuple[str, ...]]] = {
     "cavity.emitter_nm": ("cavity", "emitter_nm", "pos_float"),
     "cavity.emitter_damping_ratio": ("cavity", "emitter_damping_ratio", "nonneg_float"),
 }
+
+
+def section_keys(section: str) -> str:
+    """The keys of a config section, as a refusal of that section names them."""
+    return ", ".join(key for key, (owner, _, _) in _SCHEMA.items() if owner == section)
 
 
 def _parse_value(key: str, raw: str, kind: str | tuple[str, ...], where: str):
@@ -144,13 +172,10 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
         if key in seen:
             sections.setdefault(section, {})[attr] = seen[key]
     for section, given in sections.items():
-        try:  # each cross-key rule lives in the spec, or in build_grid, that it guards
-            sections[section] = built = dataclasses.replace(getattr(default, section), **given)
-            if section == "grid":
-                build_grid(built.center_nm, built.span_nm, built.points)
+        try:  # each cross-key rule lives in the section's spec, which checks itself when built
+            sections[section] = dataclasses.replace(getattr(default, section), **given)
         except ValueError as exc:
-            keys = ", ".join(key for key, (owner, _, _) in _SCHEMA.items() if owner == section)
-            raise ConfigError(f"{source}: {keys}: {exc}") from None
+            raise ConfigError(f"{source}: {section_keys(section)}: {exc}") from None
     return dataclasses.replace(
         default,
         applied_defaults=tuple(sorted(key for key, _ in _flatten(default) if key not in seen)),
@@ -170,8 +195,8 @@ def load_config(path) -> SimConfig:
 
 
 def apply_overrides(config: SimConfig, overrides: list[str], where: str = "override") -> SimConfig:
-    """Apply repeatable KEY=VALUE overrides limited to the cavity section;
-    an overridden key is no longer listed as defaulted."""
+    """Apply repeatable KEY=VALUE overrides limited to the cavity section, checked as
+    the parser checks it; an overridden key is no longer listed as defaulted."""
     updates: dict[str, object] = {}
     for item in overrides:
         if "=" not in item:
@@ -184,9 +209,13 @@ def apply_overrides(config: SimConfig, overrides: list[str], where: str = "overr
         updates[attr] = _parse_value(key, raw.strip(), kind, where)
     if not updates:
         return config
+    try:
+        cavity = dataclasses.replace(config.cavity, **updates)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {section_keys('cavity')}: {exc}") from None
     overridden = {f"cavity.{attr}" for attr in updates}
     return dataclasses.replace(
-        config, cavity=dataclasses.replace(config.cavity, **updates),
+        config, cavity=cavity,
         applied_defaults=tuple(key for key in config.applied_defaults if key not in overridden))
 
 

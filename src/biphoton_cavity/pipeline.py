@@ -1,10 +1,9 @@
-"""Glue from a SimConfig to its grid, input state and cavity model."""
+"""Glue from a SimConfig to its grid and input state."""
 
 import numpy as np
 
-from .cavity import CavityModel
 from .config import ConfigError, SimConfig
-from .grid import FrequencyGrid, build_grid, omega_from_wavelength
+from .grid import FrequencyGrid, build_grid
 from .state import (
     BiphotonAmplitude,
     compose_input_state,
@@ -53,34 +52,3 @@ def _zero_state_message(config: SimConfig, grid: FrequencyGrid) -> str:
                   "check pump.bandwidth_nm and the filters.* keys")
     return (f"input state is zero on every grid point: {reason} "
             "against grid.center_nm, grid.span_nm and grid.points")
-
-
-def cavity_model_from_config(
-    config: SimConfig,
-    coupling_ratio: float | None = None,
-    detuning_nm: float | None = None,
-) -> CavityModel:
-    """The configured cavity, with an optional coupling_ratio override.
-
-    A detuning_nm places the cavity mode that far from the emitter line, to
-    first order at the emitter wavelength (|d omega / d lambda| =
-    omega/lambda; positive is higher frequency), instead of at cavity.center_nm.
-    A model that CavityModel or the unit conversion refuses raises a
-    ConfigError that names the cavity.* values it was built from.
-    """
-    c = config.cavity
-    overridden = {"cavity.coupling_ratio": coupling_ratio, "cavity.center_nm": detuning_nm}
-    dicke = c.kind == "dicke"
-    ratio = c.coupling_ratio if coupling_ratio is None else coupling_ratio
-    gamma = 1.0 / c.lifetime_fs
-    try:
-        emitter = omega_from_wavelength(c.emitter_nm) if dicke or detuning_nm is not None else None
-        omega_0 = (omega_from_wavelength(c.center_nm) if detuning_nm is None
-                   else emitter + detuning_nm * (emitter / c.emitter_nm))
-        return CavityModel(c.kind, omega_0, gamma, lambda_c=ratio * gamma if dicke else 0.0,
-                           omega_e=emitter if dicke else None,
-                           gamma_e=c.emitter_damping_ratio * gamma if dicke else 0.0)
-    except ValueError as exc:  # CavityModel names its own field; add the cavity.* values
-        keys = [line for line in config.echo_lines()
-                if line.startswith("cavity.") and overridden.get(line.partition(" =")[0]) is None]
-        raise ConfigError(f"{', '.join(keys)}: {exc}") from None

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavityModel, transfer_for
-from .config import SimConfig
-from .pipeline import cavity_model_from_config, grid_from_config, input_state_from_config
+from .config import SimConfig, section_keys
+from .pipeline import grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
 
@@ -111,11 +111,12 @@ class SweepPlan:
             for series_value in self.series_values or (named[series],):
                 named[series] = series_value
                 try:
-                    model = cavity_model_from_config(base, coupling_ratio=named["coupling_ratio"],
-                                                     detuning_nm=named["cavity_detuning_nm"])
+                    model = base.cavity.model(coupling_ratio=named["coupling_ratio"],
+                                              detuning_nm=named["cavity_detuning_nm"])
                 except ValueError as exc:  # a pump sweep's models do not depend on its value
                     where = "" if swept == "pump_bandwidth_nm" else f"{swept} value {value:g}, "
-                    raise ValueError(f"{where}{series} value {series_value:g}: {exc}") from None
+                    raise ValueError(f"{where}{series} value {series_value:g}: "
+                                     f"{section_keys('cavity')}: {exc}") from None
                 points.append((series_value, value, config, model))
         object.__setattr__(self, "points", tuple(sorted(points, key=lambda point: point[:2])))
 
@@ -175,7 +176,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     """
     base = plan.base_config
     grid = grid_from_config(base)
-    empty_curve = transfer_for(cavity_model_from_config(base, coupling_ratio=0.0), grid.idler_axis)
+    empty_curve = transfer_for(base.cavity.model(coupling_ratio=0.0), grid.idler_axis)
 
     def measure_input(config):
         state = input_state_from_config(config, grid)

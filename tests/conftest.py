@@ -10,11 +10,7 @@ from biphoton_cavity import (
     compose_input_state,
     transfer_for,
 )
-from biphoton_cavity.pipeline import (
-    cavity_model_from_config,
-    grid_from_config,
-    input_state_from_config,
-)
+from biphoton_cavity.pipeline import grid_from_config, input_state_from_config
 
 
 @pytest.fixture
@@ -53,6 +49,6 @@ def make_input_state(points=96, span_nm=40.0, pump_nm=6.0, filter_nm=8.0,
 def transmitted_state(config, model=None):
     """The config's input state with its idler through `model` (default: the configured cavity)."""
     grid = grid_from_config(config)
-    model = cavity_model_from_config(config) if model is None else model
+    model = config.cavity.model() if model is None else model
     curve = transfer_for(model, grid.idler_axis)
     return apply_idler_transfer(input_state_from_config(config, grid), curve)

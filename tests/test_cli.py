@@ -90,6 +90,11 @@ class TestTransmitEntropyPipeline:
                      "--curve-out", str(curve_file)]) == 0
         assert curve_file.read_text().startswith("# format: curvev1")
 
+    def test_empty_curve_out_is_refused_not_skipped(self, config_path, capsys, monkeypatch):
+        monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
+        assert main(["transmit", "--config", config_path, "--curve-out="]) == 2
+        assert capsys.readouterr().err == "i/o error: output path is a directory: .\n"
+
 
 class TestStateCommand:
     def test_writes_jsi_file(self, config_path, tmp_path):
@@ -384,6 +389,16 @@ class TestSweepCommands:
         rows = [l.split(",") for l in out_file.read_text().splitlines() if not l.startswith("#")]
         assert [(r[0], r[1], r[3]) for r in rows] == [
             ("coupling_ratio", "0.75", v) for v in ("-2", "0", "2")]
+
+    @pytest.mark.parametrize("command", ["sweep-coupling", "sweep-pump", "sweep-detuning"])
+    @pytest.mark.parametrize("flag", ["--values", "--series"])
+    def test_empty_list_is_refused_not_defaulted(self, tmp_path, capsys, command, flag):
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text("grid.points = 16\ncavity.kind = dicke\n")
+        out_file = tmp_path / "sweep.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out_file), f"{flag}="]) == 1
+        assert capsys.readouterr().err == f"error: {flag}: expected numbers, got ''\n"
+        assert not out_file.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_pump_bandwidth_names_the_swept_value(self, tmp_path, capsys):

@@ -3,7 +3,8 @@ override or sweep flag ends in exit 0, or in exit 1 with one stderr line that
 names the key or the flag; a flag the command does not take, a missing required
 argument, or a sweep list that repeats or runs backwards ends in exit 1 with one
 such line; a jsiv1 file with one defect ends in exit 0, or in exit 1 with one
-stderr line that names the file.
+stderr line that names the file; and `state`, `entropy`, `ingest` and
+`transmit` accept or refuse a cavity value alike, with the same line.
 
 Each example runs `cli.main` in process on a small dicke config, with every
 warning turned into an error, so a numpy floating-point warning or an escaped
@@ -157,6 +158,31 @@ def test_hostile_override_or_sweep_flag_ends_in_one_line_naming_it(workdir, case
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert any(name in lines[0] for name in named), lines[0]
     assert not out_file.exists()
+
+
+@pytest.fixture(scope="module")
+def transmit_export(workdir):
+    """A transmit export of the dicke config, for `ingest --in`."""
+    cfg = workdir / "export.cfg"
+    cfg.write_text(BASE_CFG)
+    path = workdir / "export.csv"
+    assert run_main(["transmit", "--config", str(cfg), "--out", str(path)])[0] == 0
+    return path
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES)
+@pytest.mark.parametrize("key", OVERRIDE_KEYS)
+@pytest.mark.parametrize("kind", ("dicke", "two_sided"))
+def test_one_cavity_value_gets_one_verdict_from_every_command(workdir, transmit_export, kind,
+                                                               key, value):
+    cfg = workdir / "verdict.cfg"
+    cfg.write_text(f"grid.points = 16\ncavity.kind = {kind}\n{key} = {value}\n")
+    verdicts = []
+    for command in (["state"], ["entropy"], ["ingest", "--in", str(transmit_export)],
+                    ["transmit"]):
+        code, lines = run_main([*command, "--config", str(cfg), "--out", str(workdir / "out")])
+        verdicts.append((code, lines if code else None))
+    assert verdicts[0][0] in (0, 1) and verdicts.count(verdicts[0]) == 4, verdicts
 
 
 JSI_COLUMNS = ("signal_nm", "idler_nm", "re", "im", "intensity")

@@ -166,6 +166,21 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             apply_overrides(config, ["grid.points=64"])
 
+    def test_cavity_the_model_refuses_is_refused_naming_the_section(self):
+        keys = ("cavity.kind, cavity.center_nm, cavity.lifetime_fs, cavity.coupling_ratio, "
+                "cavity.emitter_nm, cavity.emitter_damping_ratio")
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text("cavity.kind = dicke\ncavity.coupling_ratio = 1e9\n",
+                              source="run.cfg")
+        assert str(parsed.value) == (
+            f"run.cfg: {keys}: lambda_c is at or beyond the Dicke critical point")
+        with pytest.raises(ConfigError) as overridden:
+            apply_overrides(parse_config_text(REFERENCE_TEXT), ["kind=dicke", "emitter_nm=1e-320"],
+                            where="--cavity-override")
+        assert str(overridden.value) == (
+            f"--cavity-override: {keys}: wavelength must be finite and positive, "
+            "with a finite frequency (nm)")
+
     def test_configs_are_frozen(self):
         config = parse_config_text(REFERENCE_TEXT)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -34,11 +34,7 @@ from biphoton_cavity import (
     transfer_for,
 )
 from biphoton_cavity.config import apply_overrides
-from biphoton_cavity.pipeline import (
-    cavity_model_from_config,
-    grid_from_config,
-    input_state_from_config,
-)
+from biphoton_cavity.pipeline import grid_from_config, input_state_from_config
 from biphoton_cavity.schmidt import entropy_of_samples
 from conftest import entropy_oracle
 
@@ -146,7 +142,7 @@ def test_mirror_about_the_emitter(reference, name, detuning_nm):
     dicke = apply_overrides(config, ["kind=dicke"])
     entropies = [
         ROUTES[name](grid, amplitude * transfer_for(
-            cavity_model_from_config(dicke, coupling_ratio=0.5, detuning_nm=sign),
+            dicke.cavity.model(coupling_ratio=0.5, detuning_nm=sign),
             grid.idler_axis).values)
         for sign in (detuning_nm, -detuning_nm)
     ]

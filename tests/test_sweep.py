@@ -15,7 +15,8 @@ from biphoton_cavity import (
     transfer_for,
 )
 from biphoton_cavity import pipeline, sweep
-from biphoton_cavity.pipeline import cavity_model_from_config, input_state_from_config
+from biphoton_cavity.config import CavityConfig
+from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.sweep import SweepResult, SweepRow
 from conftest import transmitted_state
 
@@ -81,21 +82,21 @@ class TestPlanValidation:
             SweepPlan(small_config(), "coupling_ratio", values)
 
     def test_oversize_table_is_refused_before_any_point_is_built(self, monkeypatch):
-        built = []
-        build = sweep.cavity_model_from_config
-        monkeypatch.setattr(sweep, "cavity_model_from_config",
+        built, config, build = [], small_config(), CavityConfig.model
+        monkeypatch.setattr(CavityConfig, "model",
                             lambda *a, **k: built.append(k) or build(*a, **k))
         values = tuple(0.5 + 0.0005 * i for i in range(5001))
         with pytest.raises(ValueError, match=r"^coupling_ratio x cavity_detuning_nm: 5001 x 2 "
                                              r"points; the limit is 10000$"):
-            SweepPlan(small_config(), "coupling_ratio", values, series_values=(0.0, 1.0))
+            SweepPlan(config, "coupling_ratio", values, series_values=(0.0, 1.0))
         assert built == []
 
     @pytest.mark.parametrize("values, series", [(10_000, 0), (5000, 2), (1, 10_000)])
     def test_table_at_the_point_limit_is_planned(self, monkeypatch, values, series):
-        model = cavity_model_from_config(small_config())
-        monkeypatch.setattr(sweep, "cavity_model_from_config", lambda *a, **k: model)
-        plan = SweepPlan(small_config(), "cavity_detuning_nm", tuple(range(values)),
+        config = small_config()
+        model = config.cavity.model()
+        monkeypatch.setattr(CavityConfig, "model", lambda *a, **k: model)
+        plan = SweepPlan(config, "cavity_detuning_nm", tuple(range(values)),
                          series_values=tuple(0.5 + i for i in range(series)))
         assert len(plan.points) == sweep.MAX_SWEEP_POINTS
 
@@ -143,9 +144,8 @@ class TestPointTable:
             (s, v) for s in series or (at_base[series_parameter],) for v in values]
         for series_value, value, config, model in plan.points:
             named = at_base | {series_parameter: series_value, swept: value}
-            assert model == cavity_model_from_config(
-                base, coupling_ratio=named["coupling_ratio"],
-                detuning_nm=named["cavity_detuning_nm"])
+            assert model == base.cavity.model(coupling_ratio=named["coupling_ratio"],
+                                              detuning_nm=named["cavity_detuning_nm"])
             assert config == dataclasses.replace(base, pump=dataclasses.replace(
                 base.pump, bandwidth_nm=named["pump_bandwidth_nm"]))
 
@@ -229,7 +229,7 @@ class TestDetuningSweep:
         assert result.rows[0].entropy != result.rows[1].entropy
         around = emitter_omega + np.array([-1e-9, 0.0, 1e-9])
         for detuning in plan.values:
-            model = cavity_model_from_config(config, detuning_nm=detuning)
+            model = config.cavity.model(detuning_nm=detuning)
             assert model.omega_e == emitter_omega
             transmission = transfer_for(model, around).transmission
             assert transmission[1] == 0.0
@@ -336,11 +336,10 @@ class TestSweepWork:
         ("pump_bandwidth_nm", (3.0, 6.0, 9.0), (1.0, 2.0)),
     ])
     def test_one_model_per_point(self, monkeypatch, swept, values, series):
-        calls = []
-        build = sweep.cavity_model_from_config
-        monkeypatch.setattr(sweep, "cavity_model_from_config",
+        calls, config, build = [], small_config(), CavityConfig.model
+        monkeypatch.setattr(CavityConfig, "model",
                             lambda *a, **k: calls.append(k) or build(*a, **k))
-        plan = SweepPlan(small_config(), swept, values, series_values=series)
+        plan = SweepPlan(config, swept, values, series_values=series)
         result = run_sweep(plan)
         assert len(calls) == len(result.rows) + 1
         assert [point[:2] for point in plan.points] == [
