@@ -8,7 +8,7 @@ spectra and entanglement entropies.
 
 from .cavity import CAVITY_KINDS, CavityModel, TransferCurve, transfer_for
 from .config import ConfigError, SimConfig, load_config, parse_config_text
-from .dataio import MeasuredJsi, ingest_measured_jsi, measured_entropy
+from .dataio import ingest_measured_jsi
 from .grid import (
     C_NM_PER_FS,
     FrequencyGrid,
@@ -42,7 +42,6 @@ __all__ = [
     "Crossing",
     "FilterSpec",
     "FrequencyGrid",
-    "MeasuredJsi",
     "PhaseMatchingSpec",
     "PumpSpec",
     "SchmidtSpectrum",
@@ -59,7 +58,6 @@ __all__ = [
     "find_entropy_crossing",
     "ingest_measured_jsi",
     "load_config",
-    "measured_entropy",
     "normalize",
     "omega_from_wavelength",
     "parse_config_text",

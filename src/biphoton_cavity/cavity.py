@@ -73,10 +73,11 @@ class CavityModel:
 
 @dataclass(frozen=True)
 class TransferCurve:
-    """Sampled complex C(omega); |C|^2 and the unwrapped phase are computed
-    when read.  With a phase split the two sides are unwrapped independently,
-    so a physical discontinuity there survives; a sample exactly at the split
-    keeps its raw angle."""
+    """Sampled complex C(omega) on a strictly monotone axis, either way; |C|^2
+    and the phase, unwrapped along the axis, are computed when read.  With a
+    phase split the two sides are unwrapped independently, so a physical
+    discontinuity there survives; a sample exactly at the split keeps its raw
+    angle."""
 
     axis: np.ndarray
     values: np.ndarray
@@ -88,8 +89,9 @@ class TransferCurve:
         values = np.array(self.values, dtype=complex, order="C")
         if axis.ndim != 1 or values.shape != axis.shape:
             raise ValueError("axis and values must be matching 1-d arrays")
-        if np.any(np.diff(axis) <= 0.0):
-            raise ValueError("axis must be strictly increasing")
+        steps = np.diff(axis)
+        if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+            raise ValueError("axis must be strictly monotone")
         if not np.all(np.isfinite(values)):
             raise ValueError("transfer values must be finite")
         if np.any(np.abs(values) ** 2 > 1.0 + 1e-9):

@@ -95,13 +95,13 @@ def _cmd_entropy(args) -> int:
     config = _load(args)
     lines = [f"# config.{line}" for line in config.echo_lines()]
     if args.source is not None:
-        measured = dataio.ingest_measured_jsi(args.source)
-        entropy, flags = dataio.measured_entropy(measured)
+        state, flags = dataio.ingest_measured_jsi(args.source)
         lines.append(f"# source: {args.source}")
         if flags:
             lines.append(f"# flags: {';'.join(flags)}")
     else:
-        entropy = entropy_of(input_state_from_config(config))
+        state = input_state_from_config(config)
+    entropy = entropy_of(state)
     if args.bits:
         lines.append(f"entropy_bits = {entropy / math.log(2.0):.9g}")
     else:
@@ -125,16 +125,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ingest(args) -> int:
     _load(args)  # config is required by the surface; validates even if unused
-    measured = dataio.ingest_measured_jsi(args.source)
-    entropy, flags = dataio.measured_entropy(measured)
+    state, flags = dataio.ingest_measured_jsi(args.source)
     lines = [
         f"# source: {args.source}",
-        f"# grid: {measured.signal_nm.size} x {measured.idler_nm.size}",
-        f"# amplitude_columns: {'yes' if measured.amplitude is not None else 'no'}",
+        f"# grid: {state.grid.n_signal} x {state.grid.n_idler}",
+        f"# amplitude_columns: {'no' if dataio.INTENSITY_ONLY_FLAG in flags else 'yes'}",
     ]
     if flags:
         lines.append(f"# flags: {';'.join(flags)}")
-    lines.append(f"entropy_nats = {entropy:.9g}")
+    lines.append(f"entropy_nats = {entropy_of(state):.9g}")
     _emit((["\n".join(lines) + "\n"], args.out))
     return 0
 

@@ -15,7 +15,6 @@ import os
 import re
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, compress
 from pathlib import Path
 
@@ -24,7 +23,6 @@ import numpy as np
 from .cavity import TransferCurve
 from .config import SimConfig
 from .grid import FrequencyGrid, omega_from_wavelength, trapezoid_weights, wavelength_from_omega
-from .schmidt import entropy_of, scaled_by_power_of_two
 from .state import BiphotonAmplitude
 from .sweep import SweepResult
 
@@ -61,10 +59,12 @@ def _header(format_name: str, config: SimConfig | None, columns: str, extra=()) 
 
 
 def check_output_path(path):
-    """`path` as given; OSError unless a file can be created or replaced there."""
+    """`path` as given; OSError unless a regular file can be created or replaced there."""
     where = Path(path)
     if where.is_dir():
         raise OSError(f"output path is a directory: {where}")
+    if where.exists() and not where.is_file():
+        raise OSError(f"output path is not a regular file: {where}")
     if not where.parent.is_dir():
         problem = "is not a directory" if where.parent.exists() else "does not exist"
         raise OSError(f"output directory {problem}: {where.parent}")
@@ -149,37 +149,6 @@ def render_sweep(result: SweepResult) -> list[str]:
     return pieces
 
 
-@dataclass(frozen=True)
-class MeasuredJsi:
-    """A measured (or re-ingested) joint spectral map on wavelength axes.
-
-    Axes are strictly monotone in frequency, either way, and need not be
-    uniform; amplitude is present only when the source file carried re/im columns.
-    """
-
-    signal_nm: np.ndarray
-    idler_nm: np.ndarray
-    intensity: np.ndarray
-    amplitude: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name, axis in (("signal_nm", self.signal_nm), ("idler_nm", self.idler_nm)):
-            try:
-                steps = np.diff(omega_from_wavelength(axis))
-            except ValueError as exc:
-                raise ValueError(f"{name} {exc}") from None
-            if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-                raise ValueError(f"{name} axis must be strictly monotone in frequency")
-        if not np.all(np.isfinite(self.intensity)):
-            raise ValueError("intensities must be finite")
-        if np.any(self.intensity < 0.0):
-            raise ValueError("intensities must be non-negative")
-        if not np.any(self.intensity > 0.0):
-            raise ValueError("intensity map is all zero")
-        if self.amplitude is not None and not np.any(self.amplitude):
-            raise ValueError("amplitude map is all zero")
-
-
 def _skip_line(line: str, columns: list[str]) -> bool:
     """Whether a stripped line is blank or a comment; `# columns:` sets `columns`."""
     if line.startswith("#"):
@@ -235,12 +204,12 @@ def _parse_rows(path, lines, line_numbers) -> list[list[float]]:
     return rows
 
 
-def ingest_measured_jsi(path) -> MeasuredJsi:
-    """Read a JSI-schema file; re/im are used when present, else intensity only.
+def _read_table(path):
+    """The checked columns of a JSI-schema file: its signal_nm and idler_nm axes,
+    its intensity map, and its re + 1j*im map, or None without re/im columns.
 
     Validation failures name the offending file line and cell coordinates.
     """
-    path = Path(path)
     columns: list[str] = []
     spans: list = []  # a range or index array per read: joined only for a message or float()
     lines = chain.from_iterable(_data_chunks(path, columns, spans))
@@ -309,31 +278,34 @@ def ingest_measured_jsi(path) -> MeasuredJsi:
     amplitude = None
     if "re" in idx and "im" in idx:
         amplitude = (data[:, idx["re"]] + 1j * data[:, idx["im"]]).reshape(n_signal, n_idler)
-    try:
-        return MeasuredJsi(
-            signal_nm=signal_axis,
-            idler_nm=idler_axis,
-            intensity=intensity_col.reshape(n_signal, n_idler),
-            amplitude=amplitude,
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return signal_axis, idler_axis, intensity_col.reshape(n_signal, n_idler), amplitude
 
 
-def measured_entropy(measured: MeasuredJsi) -> tuple[float, tuple[str, ...]]:
-    """Entropy of an ingested map, in nats, with fidelity flags.
+def ingest_measured_jsi(path) -> tuple[BiphotonAmplitude, tuple[str, ...]]:
+    """The map in a JSI-schema file as a state, with fidelity flags.
 
-    Without re/im columns the amplitude is taken as sqrt(intensity) with
-    zero phase, which discards any phase structure; such results carry the
-    intensity-only flag.  The grid keeps the file's axis order, with trapezoid
-    weights.  Those are equal only on 2-point axes, where schmidt_decompose
-    weighs no copy and so scales none: there the map is scaled here.
+    The grid holds the file's axes in angular frequency, in the file's order,
+    each strictly monotone either way, with trapezoid weights.  The amplitude
+    is re + 1j*im; without re/im columns it is sqrt(intensity) with zero phase,
+    which discards any phase structure, and the intensity-only flag is set.
+    Validation failures name the file, and the offending line and cell where
+    there is one.  The state holds no view into the parsed table.
     """
-    intensity_only = measured.amplitude is None
-    amp = np.sqrt(measured.intensity) if intensity_only else measured.amplitude
-    amp = np.ascontiguousarray(amp, dtype=complex if np.iscomplexobj(amp) else float)
-    amp = scaled_by_power_of_two(amp) if amp.shape == (2, 2) else amp.view()  # map kept writable
-    axes = [omega_from_wavelength(axis) for axis in (measured.signal_nm, measured.idler_nm)]
+    path = Path(path)
+    signal_nm, idler_nm, intensity, amplitude = _read_table(path)
+    axes = []
+    for name, nm in (("signal_nm", signal_nm), ("idler_nm", idler_nm)):
+        try:
+            axes.append(omega_from_wavelength(nm))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {name} {exc}") from None
+        steps = np.diff(axes[-1])
+        if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
+            raise ValueError(f"{path}: {name} axis must be strictly monotone in frequency")
+    if not np.any(intensity > 0.0):
+        raise ValueError(f"{path}: intensity map is all zero")
+    if amplitude is not None and not np.any(amplitude):
+        raise ValueError(f"{path}: amplitude map is all zero")
+    flags = () if amplitude is not None else (INTENSITY_ONLY_FLAG,)
     grid = FrequencyGrid(*axes, *map(trapezoid_weights, axes))
-    flags = (INTENSITY_ONLY_FLAG,) if intensity_only else ()
-    return entropy_of(BiphotonAmplitude(grid, amp)), flags
+    return BiphotonAmplitude(grid, np.sqrt(intensity) if amplitude is None else amplitude), flags

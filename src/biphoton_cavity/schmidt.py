@@ -14,6 +14,9 @@ from .state import BiphotonAmplitude
 # Coefficients below this fraction of the largest are dropped before the
 # entropy sum (0*ln 0 regularization at machine scale).
 _COEFF_CUTOFF = 1e-12
+# Largest re/im parts of an amplitude whose SVD neither over- nor underflows:
+# on equal weights, one in this window is decomposed as it is, without a copy.
+_UNSCALED = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,16 @@ def _spectrum(singular: np.ndarray) -> SchmidtSpectrum:
     return SchmidtSpectrum(np.sqrt(weights), entropy, float(1.0 / np.sum(weights**2)))
 
 
-def scaled_by_power_of_two(amplitude: np.ndarray) -> np.ndarray:
-    """A copy of a C-ordered float or complex array, its largest re/im part put in [0.5, 1)."""
-    parts = amplitude.view(float)  # the real view: np.ldexp takes no complex values
-    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(amplitude.dtype)
-
-
 def schmidt_decompose(state: BiphotonAmplitude) -> SchmidtSpectrum:
     """Schmidt spectrum, sum(lambda_j^2) = 1, of a state of any nonzero scale: the
     SVD of its amplitude times sqrt(w / w.max()) along each axis's weights w."""
     amplitude, ws, wi = state.amplitude, state.grid.signal_weights, state.grid.idler_weights
-    if not (np.all(ws == ws[0]) and np.all(wi == wi[0])):  # else the factors are all 1.0
-        amplitude = scaled_by_power_of_two(amplitude)  # weighing the copy cannot under/overflow
+    parts = amplitude.view(float)  # the real view: np.ldexp takes no complex values
+    largest = max(parts.max(), -parts.min())  # np.abs would add a full-size temporary
+    equal = np.all(ws == ws[0]) and np.all(wi == wi[0])  # then the factors are all 1.0
+    if not (equal and _UNSCALED[0] <= largest <= _UNSCALED[1]):
+        # a copy with its largest re/im part in [0.5, 1): weighing it cannot under/overflow
+        amplitude = np.ldexp(parts, -np.frexp(largest)[1]).view(amplitude.dtype)
         amplitude *= np.sqrt(ws / ws.max())[:, None]
         amplitude *= np.sqrt(wi / wi.max())
     return _spectrum(np.linalg.svd(amplitude, compute_uv=False))

@@ -404,8 +404,8 @@ class TestCriterion10NumericalStability:
         state = reference_state(points=256)
         path = tmp_path / "jsi.csv"
         write_lines(path, render_jsi(state))
-        measured = ingest_measured_jsi(path)
-        round_trip_ok = np.allclose(measured.intensity, np.abs(state.amplitude) ** 2,
+        measured, _ = ingest_measured_jsi(path)
+        round_trip_ok = np.allclose(np.abs(measured.amplitude) ** 2, np.abs(state.amplitude) ** 2,
                                     rtol=1e-8, atol=1e-300)
 
         byte_ok = list(render_jsi(state)) == list(render_jsi(reference_state(points=256)))

@@ -202,6 +202,23 @@ class TestTransmissionBound:
         with pytest.raises(ValueError):
             TransferCurve(axis=np.array([1.0, 2.0]), values=np.array([1.5 + 0j, 0.1 + 0j]))
 
+
+class TestAxisDirection:
+    @pytest.mark.parametrize("model", [one_sided(), two_sided(), dicke()],
+                             ids=["one_sided", "two_sided", "dicke"])
+    def test_a_descending_axis_gives_the_reversed_curve(self, model):
+        """Values, transmission and phase on a reversed axis are the reversed
+        ones, bit for bit; the dicke axis holds the emitter sample."""
+        axis = sym_axis(15.0 * GAMMA, 301)
+        ascending, descending = transfer_for(model, axis), transfer_for(model, axis[::-1])
+        for name in ("values", "transmission", "phase"):
+            assert getattr(descending, name).tobytes() == getattr(ascending, name)[::-1].tobytes()
+
+    def test_an_axis_that_turns_is_refused(self):
+        with pytest.raises(ValueError, match="^axis must be strictly monotone$"):
+            TransferCurve(axis=np.array([1.0, 2.0, 1.5]), values=np.ones(3))
+
+
 def phase_step_sharpness(model, axis):
     """Width (rad/fs) of the central pi phase transition across the emitter line.
 

@@ -1,4 +1,6 @@
 import itertools
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +102,8 @@ class TestStateCommand:
     def test_writes_jsi_file(self, config_path, tmp_path):
         out_file = tmp_path / "state.csv"
         assert main(["state", "--config", config_path, "--out", str(out_file)]) == 0
-        measured = ingest_measured_jsi(out_file)
-        assert measured.intensity.shape == (64, 64)
+        measured, flags = ingest_measured_jsi(out_file)
+        assert measured.amplitude.shape == (64, 64) and flags == ()
 
     def test_stdout_when_no_out(self, config_path, tmp_path, capsysbinary):
         from biphoton_cavity import dataio
@@ -121,8 +123,8 @@ class TestOverrides:
         assert main(["state", "--config", config_path, "--out", str(a)]) == 0
         assert main(["transmit", "--config", config_path, "--out", str(b),
                      "--cavity-override", "kind=one_sided"]) == 0
-        jsi_in = ingest_measured_jsi(a).intensity
-        jsi_out = ingest_measured_jsi(b).intensity
+        jsi_in = np.abs(ingest_measured_jsi(a)[0].amplitude) ** 2
+        jsi_out = np.abs(ingest_measured_jsi(b)[0].amplitude) ** 2
         assert np.max(np.abs(jsi_in - jsi_out)) <= 1e-8 * np.max(jsi_in)
 
     def test_header_does_not_list_an_overridden_key_as_defaulted(self, config_path,
@@ -392,6 +394,16 @@ class TestErrorPaths:
         assert main([command, "--config", "dicke.cfg", "--out", "s.csv"]) == 0
         assert listings and all(names == ["dicke.cfg"] for names in listings)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dicke.cfg", "s.csv"]
+
+    def test_out_naming_a_fifo_is_refused_and_left_a_fifo(self, config_path, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        assert main(["entropy", "--config", config_path, "--out", str(fifo)]) == 2
+        assert capsys.readouterr().err == f"i/o error: output path is not a regular file: {fifo}\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "small.cfg"]
 
     def test_out_under_a_file_names_that_file(self, config_path, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -12,12 +12,10 @@ from biphoton_cavity import (
     BiphotonAmplitude,
     CavityModel,
     FrequencyGrid,
-    MeasuredJsi,
     SweepPlan,
     TransferCurve,
     apply_idler_transfer,
     ingest_measured_jsi,
-    measured_entropy,
     omega_from_wavelength,
     parse_config_text,
     run_sweep,
@@ -28,6 +26,7 @@ from biphoton_cavity import _blockfmt, dataio
 from biphoton_cavity.cli import main
 from biphoton_cavity.config import load_config
 from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_curve, render_jsi, render_sweep
+from biphoton_cavity.grid import trapezoid_weights
 from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.schmidt import entropy_of
 from test_cavity import GAMMA, W0, dicke
@@ -40,22 +39,26 @@ class TestJsiRoundTrip:
         state = make_input_state(points=32)
         path = tmp_path / "jsi.csv"
         dataio.write_lines(path, render_jsi(state))
-        measured = ingest_measured_jsi(path)
-        assert measured.intensity.shape == (32, 32)
-        np.testing.assert_allclose(measured.intensity, np.abs(state.amplitude) ** 2,
+        intensity = dataio._read_table(path)[2]
+        assert intensity.shape == (32, 32)
+        np.testing.assert_allclose(intensity, np.abs(state.amplitude) ** 2,
                                    rtol=1e-8, atol=1e-300)
-        assert measured.amplitude is not None
+        measured, flags = ingest_measured_jsi(path)
+        assert flags == () and np.iscomplexobj(measured.amplitude)
         np.testing.assert_allclose(measured.amplitude, state.amplitude, rtol=1e-8, atol=1e-12)
 
     def test_axes_round_trip(self, tmp_path):
         state = make_input_state(points=16)
         path = tmp_path / "jsi.csv"
         dataio.write_lines(path, render_jsi(state))
-        measured = ingest_measured_jsi(path)
         # exported in nm, decreasing along increasing omega
         np.testing.assert_allclose(
-            measured.signal_nm, wavelength_from_omega(state.grid.signal_axis), rtol=1e-8
+            dataio._read_table(path)[0], wavelength_from_omega(state.grid.signal_axis), rtol=1e-8
         )
+        measured, _ = ingest_measured_jsi(path)
+        for arm in ("signal", "idler"):
+            np.testing.assert_allclose(getattr(measured.grid, f"{arm}_axis"),
+                                       getattr(state.grid, f"{arm}_axis"), rtol=1e-8)
 
     def test_header_carries_format_and_config(self, tmp_path):
         config = parse_config_text("grid.points = 16")
@@ -72,10 +75,9 @@ class TestJsiRoundTrip:
         state = make_input_state(points=48)
         path = tmp_path / "jsi.csv"
         dataio.write_lines(path, render_jsi(state))
-        measured = ingest_measured_jsi(path)
-        entropy, flags = measured_entropy(measured)
+        measured, flags = ingest_measured_jsi(path)
         assert flags == ()
-        assert entropy == pytest.approx(entropy_of(state), abs=1e-5)
+        assert entropy_of(measured) == pytest.approx(entropy_of(state), abs=1e-5)
 
     def test_deterministic_bytes(self, tmp_path):
         state = make_input_state(points=16)
@@ -217,12 +219,17 @@ def _refuse_parse_rows(*args):
 
 
 def _ingest_outcome(path):
-    try:
-        measured = ingest_measured_jsi(path)
-    except ValueError as exc:
-        return str(exc)
-    return {name: None if getattr(measured, name) is None else getattr(measured, name).tobytes()
-            for name in ("signal_nm", "idler_nm", "intensity", "amplitude")}
+    """The message ingest refuses the file with, or the columns it parsed, as bytes."""
+    tables = []
+    read_table = dataio._read_table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_read_table", lambda p: tables.append(read_table(p)) or tables[-1])
+        try:
+            ingest_measured_jsi(path)
+        except ValueError as exc:
+            return str(exc)
+    return {name: None if column is None else column.tobytes()
+            for name, column in zip(("signal_nm", "idler_nm", "intensity", "amplitude"), tables[0])}
 
 
 def _both_paths(path, monkeypatch):
@@ -581,6 +588,20 @@ class TestStreaming:
         # the lower bound shows that the traced allocations include numpy's
         assert table_bytes < _traced_peak(lambda: ingest_measured_jsi(path)) < 2 * table_bytes
 
+    def test_the_state_holds_no_view_into_the_table(self, reference_export):
+        """While the ingested state lives, the parsed table is gone: what ingest
+        leaves allocated is about the amplitude alone."""
+        path, _ = reference_export
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            state, _ = ingest_measured_jsi(path)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert np.iscomplexobj(state.amplitude)  # the export carries re/im columns
+        assert held < 1.5 * state.amplitude.nbytes
+
     @pytest.mark.parametrize("count", [1, 4096, 8193])
     def test_chunked_write_matches_one_join(self, tmp_path, count):
         """`count` one-line pieces are written as their concatenation."""
@@ -751,22 +772,41 @@ class TestMeasuredAxisDirection:
                 lines.append(",".join(format(v, ".17g") for v in (s, i, a.real, a.imag, abs(a) ** 2)))
         path = tmp_path / "mirrored.csv"
         path.write_text("\n".join(lines) + "\n")
-        entropy, flags = measured_entropy(ingest_measured_jsi(path))
+        measured, flags = ingest_measured_jsi(path)
         assert flags == ()
-        assert entropy == pytest.approx(expected, abs=1e-12)
+        assert entropy_of(measured) == pytest.approx(expected, abs=1e-12)
+
+    def test_a_cavity_applies_to_a_map_whose_wavelengths_ascend(self, tmp_path):
+        """Ascending wavelengths make descending frequency axes; the cavity is
+        sampled on them as they are, and transmits the mirror image, bit for bit."""
+        state = make_input_state(points=16)
+        grid = state.grid
+        mirrored = BiphotonAmplitude(
+            FrequencyGrid(grid.signal_axis[::-1], grid.idler_axis[::-1],
+                          grid.signal_weights[::-1], grid.idler_weights[::-1]),
+            state.amplitude[::-1, ::-1])
+        through = []
+        for name, exported in (("descending.csv", state), ("ascending.csv", mirrored)):
+            path = tmp_path / name
+            dataio.write_lines(path, render_jsi(exported))
+            measured, _ = ingest_measured_jsi(path)
+            curve = transfer_for(dicke(), measured.grid.idler_axis)
+            through.append(apply_idler_transfer(measured, curve))
+        assert np.all(np.diff(dataio._read_table(tmp_path / "ascending.csv")[1]) > 0.0)
+        assert through[1].amplitude.tobytes() == through[0].amplitude[::-1, ::-1].tobytes()
+        assert entropy_of(through[1]) == pytest.approx(entropy_of(through[0]), abs=1e-12)
 
 
 class TestMeasuredEntropyMemory:
     @pytest.mark.parametrize("largest", [0.9, 900.0, 9e-4])
     def test_the_weighted_copy_is_the_one_full_size_array(self, rng, largest):
         """Whatever its scale, a measured map is scaled in the copy that is
-        weighted, and that copy is the one full-size array the entropy adds;
-        the measured map is left writable."""
-        axis = np.linspace(670.0, 700.0, 256)  # uniform in nm, so the weights differ
+        weighted, and that copy is the one full-size array the entropy adds."""
+        axis = omega_from_wavelength(np.linspace(670.0, 700.0, 256))  # so the weights differ
         amp = largest * (rng.uniform(-1, 1, (256, 256)) + 1j * rng.uniform(-1, 1, (256, 256)))
-        measured = MeasuredJsi(axis, axis, np.abs(amp) ** 2, amp)
-        assert _traced_peak(lambda: measured_entropy(measured)) < 1.5 * amp.nbytes
-        assert amp.flags.writeable
+        weights = trapezoid_weights(axis)
+        state = BiphotonAmplitude(FrequencyGrid(axis, axis, weights, weights), amp)
+        assert _traced_peak(lambda: entropy_of(state)) < 1.5 * amp.nbytes
 
 
 class TestMeasuredIntensityOnly:
@@ -781,8 +821,8 @@ class TestMeasuredIntensityOnly:
                 lines.append(f"{s},{i},{np.exp(-((s - 687) ** 2 + (i - 687) ** 2) / 40.0):.9g}")
         path = tmp_path / "measured.csv"
         path.write_text("\n".join(lines) + "\n")
-        measured = ingest_measured_jsi(path)
-        assert measured.amplitude is None
-        entropy, flags = measured_entropy(measured)
-        assert INTENSITY_ONLY_FLAG in flags
-        assert entropy == pytest.approx(0.0, abs=1e-9)  # separable test map
+        assert dataio._read_table(path)[3] is None
+        measured, flags = ingest_measured_jsi(path)
+        assert flags == (INTENSITY_ONLY_FLAG,)
+        assert measured.amplitude.tobytes() == np.sqrt(dataio._read_table(path)[2]).tobytes()
+        assert entropy_of(measured) == pytest.approx(0.0, abs=1e-9)  # separable test map

@@ -284,6 +284,26 @@ def test_equal_weights_add_no_copy_of_the_amplitude():
     assert peak < 0.5 * state.amplitude.nbytes
 
 
+@pytest.mark.parametrize("points", [2, 3, 64])
+@pytest.mark.parametrize("exponent", [1023, -1060])
+def test_equal_weights_at_the_float_limits_give_the_unit_scale_entropy(rng, points, exponent):
+    """On a build_grid grid an amplitude near the largest float is decomposed
+    without its singular values overflowing, and one of subnormals without
+    losing bits: each is scaled first.  Entries of 14 bits below 2 are exact
+    at both scales; two of them in one row are the largest, so the largest
+    singular value of the map at 2**1023 exceeds the largest float."""
+    grid = build_grid(685.0, 40.0, points)
+    parts = rng.integers(1 - 2**14, 2**14, (2, points, points)) / 2.0**13
+    parts[:, 0, :2] = 2.0 - 2.0**-13
+    for amp in (parts[0], parts[0] + 1j * parts[1]):
+        unit = entropy_of(BiphotonAmplitude(grid, amp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entropy = entropy_of(BiphotonAmplitude(grid, np.ldexp(amp.view(float), exponent)
+                                                   .view(amp.dtype)))
+        assert entropy == pytest.approx(unit, abs=1e-12)
+
+
 def boundary_mass(state):
     """Share of |F|^2 on the outermost rows and columns of the grid."""
     p = np.abs(state.amplitude) ** 2
