@@ -166,26 +166,32 @@ def parse_config_text(text: str, source: str = "<config>") -> SimConfig:
         _, _, kind = _SCHEMA[key]
         seen[key] = _parse_value(key, raw_value, kind, f"{source}:{lineno}")
 
-    default = SimConfig()
+    defaults = tuple(sorted(key for key, _ in _flatten(SimConfig())))
+    return with_values(SimConfig(applied_defaults=defaults), seen, source)
+
+
+def with_values(config: SimConfig, values: dict[str, object], where: str) -> SimConfig:
+    """`config` with each dotted key in `values` set to its parsed value.  Every section
+    a key touches is rebuilt, in schema order, so it checks itself; a refusal reads
+    `<where>: <section keys>: <reason>`.  A set key is no longer listed as defaulted."""
     sections: dict[str, dict[str, object]] = {}
     for key, (section, attr, _) in _SCHEMA.items():
-        if key in seen:
-            sections.setdefault(section, {})[attr] = seen[key]
+        if key in values:
+            sections.setdefault(section, {})[attr] = values[key]
     for section, given in sections.items():
         try:  # each cross-key rule lives in the section's spec, which checks itself when built
-            sections[section] = dataclasses.replace(getattr(default, section), **given)
+            sections[section] = dataclasses.replace(getattr(config, section), **given)
         except ValueError as exc:
-            raise ConfigError(f"{source}: {section_keys(section)}: {exc}") from None
+            raise ConfigError(f"{where}: {section_keys(section)}: {exc}") from None
     return dataclasses.replace(
-        default,
-        applied_defaults=tuple(sorted(key for key, _ in _flatten(default) if key not in seen)),
-        **sections)
+        config, **sections,
+        applied_defaults=tuple(key for key in config.applied_defaults if key not in values))
 
 
 def load_config(path) -> SimConfig:
     """Read and parse a configuration file."""
     path = Path(path)
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -205,18 +211,8 @@ def apply_overrides(config: SimConfig, overrides: list[str], where: str = "overr
         key = f"cavity.{short.strip()}" if not short.strip().startswith("cavity.") else short.strip()
         if key not in _SCHEMA or _SCHEMA[key][0] != "cavity":
             raise ConfigError(f"{where}: unknown cavity key {short.strip()!r}")
-        _, attr, kind = _SCHEMA[key]
-        updates[attr] = _parse_value(key, raw.strip(), kind, where)
-    if not updates:
-        return config
-    try:
-        cavity = dataclasses.replace(config.cavity, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {section_keys('cavity')}: {exc}") from None
-    overridden = {f"cavity.{attr}" for attr in updates}
-    return dataclasses.replace(
-        config, cavity=cavity,
-        applied_defaults=tuple(key for key in config.applied_defaults if key not in overridden))
+        updates[key] = _parse_value(key, raw.strip(), _SCHEMA[key][2], where)
+    return with_values(config, updates, where)
 
 
 def _flatten(config: SimConfig):

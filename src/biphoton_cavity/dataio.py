@@ -166,8 +166,9 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
     goes line by line: it loses the lines `_skip_line` drops (setting
     `columns`) and numbers the others in an index array; any other read is
     numbered by a range.  A byte that is not UTF-8 raises ValueError naming
-    its line, found by one search of the read but its unfinished last line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    its line, found by one search of the read but its unfinished last line.
+    A byte-order mark that opens the file is dropped."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         tail, first, more = "", 1, True
         while more:
             text = handle.read(_READ_CHARS)

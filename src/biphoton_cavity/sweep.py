@@ -6,13 +6,12 @@ Sweep points are independent pure computations; rows come out sorted by
 (series value, sweep value) so results are deterministic.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cavity import CavityModel, transfer_for
-from .config import SimConfig, section_keys
+from .config import SimConfig, section_keys, with_values
 from .pipeline import grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
@@ -102,12 +101,8 @@ class SweepPlan:
             named[swept] = value
             config, width = base, named["pump_bandwidth_nm"]
             if width != base.pump.bandwidth_nm:  # the one parameter that sets the input state
-                try:
-                    pump = dataclasses.replace(base.pump, bandwidth_nm=width)
-                except ValueError as exc:
-                    raise ValueError(f"pump_bandwidth_nm value {width:g} with pump.center_down_nm "
-                                     f"= {base.pump.center_down_nm:g}: {exc}") from None
-                config = dataclasses.replace(base, pump=pump)
+                config = with_values(base, {"pump.bandwidth_nm": width},
+                                     f"pump_bandwidth_nm value {width:g}")
             for series_value in self.series_values or (named[series],):
                 named[series] = series_value
                 try:

@@ -626,6 +626,24 @@ class TestIngestCommand:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{bad}{where}" in err
 
+    @pytest.mark.parametrize("export", ["state", "transmit"])
+    def test_a_byte_order_mark_leaves_the_reports_as_they_were(self, config_path, tmp_path,
+                                                               monkeypatch, export):
+        for name in ("plain", "marked"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "plain")
+        assert main([export, "--config", config_path, "--out", "m.csv"]) == 0
+        (tmp_path / "marked" / "m.csv").write_bytes(b"\xef\xbb\xbf" + Path("m.csv").read_bytes())
+        reports = {}
+        for name in ("plain", "marked"):
+            monkeypatch.chdir(tmp_path / name)
+            for command in ("ingest", "entropy"):
+                assert main([command, "--config", config_path, "--in", "m.csv",
+                             "--out", f"{command}.txt"]) == 0
+                reports[name, command] = Path(f"{command}.txt").read_bytes()
+        for command in ("ingest", "entropy"):
+            assert reports["marked", command] == reports["plain", command]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("data, entropy", [
         # re/im at the float limit: weighting must not overflow to a silent 0

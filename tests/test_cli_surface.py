@@ -3,8 +3,10 @@ override or sweep flag ends in exit 0, or in exit 1 with one stderr line that
 names the key or the flag; a flag the command does not take, a missing required
 argument, or a sweep list that repeats or runs backwards ends in exit 1 with one
 such line; a jsiv1 file with one defect ends in exit 0, or in exit 1 with one
-stderr line that names the file; and `state`, `entropy`, `ingest` and
-`transmit` accept or refuse a cavity value alike, with the same line.
+stderr line that names the file; `state`, `entropy`, `ingest` and
+`transmit` accept or refuse a cavity value alike, with the same line; and a
+pump or coupling value set in the file, by an override or as a sweep value is
+refused with the same `<section keys>: <reason>` after its `<where>: `.
 
 Each example runs `cli.main` in process on a small dicke config, with every
 warning turned into an error, so a numpy floating-point warning or an escaped
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton_cavity.cli import MAX_SWEEP_POINTS, main
-from biphoton_cavity.config import _SCHEMA
+from biphoton_cavity.config import _SCHEMA, section_keys
 from biphoton_cavity.sweep import SWEEPS
 
 BASE_CFG = "grid.points = 16\ncavity.kind = dicke\n"
@@ -183,6 +185,40 @@ def test_one_cavity_value_gets_one_verdict_from_every_command(workdir, transmit_
         code, lines = run_main([*command, "--config", str(cfg), "--out", str(workdir / "out")])
         verdicts.append((code, lines if code else None))
     assert verdicts[0][0] in (0, 1) and verdicts.count(verdicts[0]) == 4, verdicts
+
+
+# A value set on every route that sets it: in the config file, by --cavity-override
+# and as a sweep value, each with the `<where>` its refusal must open with.  CONFIG is
+# the dicke config with the value set in it, BASE for the dicke config alone.
+BASE = "<base config>"
+SET_VALUE_ROUTES = {
+    "pump.bandwidth_nm = 400": (
+        (["state", "--config", CONFIG], CONFIG),
+        (["sweep-pump", "--values=400", "--series=1", "--config", BASE],
+         "pump_bandwidth_nm value 400")),
+    "cavity.coupling_ratio = 1e9": (
+        (["state", "--config", CONFIG], CONFIG),
+        (["state", "--cavity-override", "coupling_ratio=1e9", "--config", BASE],
+         "--cavity-override"),
+        (["sweep-coupling", "--values=1e9", "--series=0", "--config", BASE],
+         "coupling_ratio value 1e+09, cavity_detuning_nm value 0")),
+}
+
+
+@pytest.mark.parametrize("setting", SET_VALUE_ROUTES)
+def test_a_set_value_is_refused_with_one_tail_on_every_route(workdir, setting):
+    paths = {CONFIG: workdir / "set.cfg", BASE: workdir / "base.cfg"}
+    paths[CONFIG].write_text(f"{BASE_CFG}{setting}\n")
+    paths[BASE].write_text(BASE_CFG)
+    tails = set()
+    for argv, where in SET_VALUE_ROUTES[setting]:
+        argv = [str(paths.get(part, part)) for part in argv]
+        code, lines = run_main([*argv, "--out", str(workdir / "out")])
+        prefix = f"error: {paths.get(where, where)}: "
+        assert code == 1 and len(lines) == 1 and lines[0].startswith(prefix), lines
+        tails.add(lines[0].removeprefix(prefix))
+    keys = section_keys(_SCHEMA[setting.partition(" ")[0]][0])
+    assert len(tails) == 1 and tails.pop().startswith(f"{keys}: "), tails
 
 
 JSI_COLUMNS = ("signal_nm", "idler_nm", "re", "im", "intensity")

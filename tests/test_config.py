@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from biphoton_cavity import ConfigError, load_config, parse_config_text
-from biphoton_cavity.config import MAX_GRID_ARRAY_BYTES, apply_overrides
+from biphoton_cavity.config import MAX_GRID_ARRAY_BYTES, apply_overrides, with_values
 
 REFERENCE_TEXT = """
 grid.center_nm = 685
@@ -132,6 +132,26 @@ class TestLoadConfig:
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_a_byte_order_mark_that_opens_the_file_is_dropped(self, tmp_path):
+        text = "grid.points = 64\ncavity.kind = dicke\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        config, expected = load_config(marked), load_config(plain)
+        assert config == expected
+        assert config.echo_lines() == expected.echo_lines()
+        assert config.applied_defaults == expected.applied_defaults
+
+    def test_after_a_byte_order_mark_lines_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "marked.cfg"
+        path.write_bytes(b"\xef\xbb\xbfgrid.points = 64\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: not UTF-8 text$"):
+            load_config(path)
+        # a mark that does not open the file is part of the text
+        path.write_bytes(b"grid.points = 64\n\xef\xbb\xbfcavity.kind = dicke\n")
+        with pytest.raises(ConfigError, match=r":2: unknown key '\\ufeffcavity\.kind'$"):
+            load_config(path)
+
     def test_repo_reference_config_parses(self):
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.cfg")
         assert config.pump.bandwidth_convention == "at_degeneracy"
@@ -180,6 +200,21 @@ class TestOverrides:
         assert str(overridden.value) == (
             f"--cavity-override: {keys}: wavelength must be finite and positive, "
             "with a finite frequency (nm)")
+
+    def test_with_values_reports_the_first_refused_section_in_key_order(self):
+        config = parse_config_text("cavity.kind = dicke\n")
+        values = {"cavity.coupling_ratio": 1e9, "pump.bandwidth_nm": 400.0}
+        with pytest.raises(ConfigError) as refused:
+            with_values(config, values, "there")
+        assert str(refused.value) == (
+            "there: pump.center_down_nm, pump.bandwidth_nm, pump.bandwidth_convention: "
+            "pump bandwidth must be below half of the down-converted center")
+        out = with_values(config, {"pump.bandwidth_nm": 3.0, "cavity.coupling_ratio": 2.0}, "x")
+        assert (out.pump.bandwidth_nm, out.cavity.coupling_ratio) == (3.0, 2.0)
+        assert out.applied_defaults == tuple(
+            key for key in config.applied_defaults
+            if key not in ("pump.bandwidth_nm", "cavity.coupling_ratio"))
+        assert out.grid is config.grid and out.idler_filter is config.idler_filter
 
     def test_configs_are_frozen(self):
         config = parse_config_text(REFERENCE_TEXT)

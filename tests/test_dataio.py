@@ -737,10 +737,27 @@ class TestIngestValidation:
             (b"# r\xe9sum\xe9 in Latin-1\n" + head, 1),
             (head.replace(b"\n", b"\r\n") + b"690,7\xc3(0,1\r\n690,690,1\r\n", 4),
             (head + b"690,700,1\n690,690,1\n# trailer \xed\xa0\x80\n", 6),
+            (b"\xef\xbb\xbf" + head.replace(b"700,700,1", b"700,700,\xff"), 2),  # after a BOM
         ):
             path.write_bytes(body)
             with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: .*UTF-8"):
                 ingest_measured_jsi(path)
+
+    def test_a_byte_order_mark_that_opens_the_file_is_dropped(self, tmp_path):
+        body = (b"# columns: signal_nm,idler_nm,re,im,intensity\n"
+                b"700,700,1,0.5,1.25\n700,690,0.5,0,0.25\n690,700,0,1,1\n690,690,1,0,1\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        (state, flags), (expected, expected_flags) = map(ingest_measured_jsi, (marked, plain))
+        assert flags == expected_flags == ()
+        np.testing.assert_array_equal(state.amplitude, expected.amplitude)
+        for name in ("signal_axis", "idler_axis", "signal_weights", "idler_weights"):
+            np.testing.assert_array_equal(getattr(state.grid, name), getattr(expected.grid, name))
+        # a mark anywhere else is part of a cell
+        marked.write_bytes(body.replace(b"690,700", b"\xef\xbb\xbf690,700"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(marked))}:4: non-numeric data"):
+            ingest_measured_jsi(marked)
 
 
 def eigvalsh_entropy(signal_nm, idler_nm, amplitude):

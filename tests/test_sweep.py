@@ -102,12 +102,12 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_pump_bandwidth_naming_it(self, bad):
-        with pytest.raises(ValueError, match=rf"pump_bandwidth_nm value {bad:g} .*must be finite"):
+        with pytest.raises(ValueError, match=rf"pump_bandwidth_nm value {bad:g}: .*must be finite"):
             SweepPlan(small_config(), "pump_bandwidth_nm", (bad,))
 
     def test_rejects_too_wide_pump_bandwidth(self):
         # half the down-converted center is where the pump spec itself gives up
-        with pytest.raises(ValueError, match=r"pump_bandwidth_nm value 400 .*pump\.center_down_nm"):
+        with pytest.raises(ValueError, match=r"pump_bandwidth_nm value 400: .*pump\.center_down_nm"):
             SweepPlan(small_config(), "pump_bandwidth_nm", (1.0, 400.0))
         with pytest.raises(ValueError, match="pump.center_down_nm"):
             SweepPlan(small_config(), "pump_bandwidth_nm", (342.5,))
