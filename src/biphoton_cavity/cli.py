@@ -34,6 +34,10 @@ def _emit(*outputs):
     out_dir = os.environ.get(OUT_DIR_ENV) or ""
     paths = [path if path is None else dataio.check_output_path(os.path.join(out_dir, path))
              for _, path in outputs]
+    # abspath, not realpath: os.replace replaces a link, so a link and its target are two files
+    files = [os.path.abspath(path) for path in paths if path is not None]
+    if clash := next((file for k, file in enumerate(files) if file in files[:k]), None):
+        raise OSError(f"two outputs name the same file: {clash}")
     for (pieces, _), out_path in zip(outputs, paths):
         if out_path is None:
             sys.stdout.writelines(pieces)

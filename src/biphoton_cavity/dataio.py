@@ -13,7 +13,6 @@ chunks that number their lines, and again only when np.loadtxt refuses them.
 
 import os
 import re
-import tempfile
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cavity import TransferCurve
-from .config import SimConfig
+from .config import MAX_GRID_ARRAY_BYTES, SimConfig
 from .grid import FrequencyGrid, omega_from_wavelength, trapezoid_weights, wavelength_from_omega
 from .state import BiphotonAmplitude
 from .sweep import SweepResult
@@ -41,6 +40,11 @@ _BLOCK_CELLS = 2048
 _READ_CHARS = 1 << 16
 _SKIP_MARKS = "#\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # surrogateescape's code for a byte not UTF-8
+_MAX_ROWS = MAX_GRID_ARRAY_BYTES // 16  # data rows: the cells of the largest grid allowed
+
+
+class _Refused(ValueError):
+    """A file refused as it is read: a second read would refuse it the same way."""
 
 
 def _fmt(x: float) -> str:
@@ -76,12 +80,10 @@ def write_lines(path, pieces: Iterable[str]) -> None:
     path = Path(check_output_path(path))
     pieces = iter(pieces)
     first = next(pieces, "")  # a lazy export (a sweep) runs before the temporary file exists
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # A new file, never one already there, with the mode open() gives: 0o666 less the umask.
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        # mkstemp creates the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(chain((first,), pieces))
         os.replace(tmp_name, path)
@@ -165,11 +167,11 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
     A read with an empty line, a non-ASCII character or one of `_SKIP_MARKS`
     goes line by line: it loses the lines `_skip_line` drops (setting
     `columns`) and numbers the others in an index array; any other read is
-    numbered by a range.  A byte that is not UTF-8 raises ValueError naming
-    its line, found by one search of the read but its unfinished last line.
-    A byte-order mark that opens the file is dropped."""
+    numbered by a range.  A byte that is not UTF-8 (found by one search of the
+    read but its unfinished last line) and the data line past `_MAX_ROWS` raise
+    _Refused naming their line.  A byte-order mark that opens the file is dropped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        tail, first, more = "", 1, True
+        tail, first, more, rows = "", 1, True, 0
         while more:
             text = handle.read(_READ_CHARS)
             more = bool(text)
@@ -181,11 +183,14 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
             if "" in lines or not text.isascii() or any(mark in text for mark in _SKIP_MARKS):
                 if not text.isascii() and (bad := _NOT_UTF8.search(text, 0, len(text) - len(tail))):
                     number = numbers.start + text.count("\n", 0, bad.start())
-                    raise ValueError(f"{path}:{number}: not UTF-8 text")
+                    raise _Refused(f"{path}:{number}: not UTF-8 text")
                 keep = [not _skip_line(line.strip(), columns) for line in lines]
                 lines = list(compress(lines, keep))
                 numbers = numbers.start + np.flatnonzero(keep)
             if lines:  # an empty range would make the concatenated numbers float
+                if (rows := rows + len(lines)) > _MAX_ROWS:
+                    raise _Refused(f"{path}:{numbers[_MAX_ROWS - rows + len(lines)]}: more than "
+                                   f"{_MAX_ROWS} data rows, the cells of the largest grid")
                 spans.append(numbers)
                 yield lines
 
@@ -218,7 +223,9 @@ def _read_table(path):
     try:
         if (first := next(lines, None)) is not None:
             data = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # a line np.loadtxt refuses, or one that is not UTF-8
+    except _Refused:
+        raise
+    except ValueError:  # a line np.loadtxt refuses
         # float() parses once every line is read: a line that is not UTF-8 is
         # reported before any bad cell.
         spans.clear()

@@ -405,6 +405,39 @@ class TestErrorPaths:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "small.cfg"]
 
+    @pytest.mark.parametrize("curve_out", ["x.csv", "./x.csv", "ABSOLUTE"])
+    def test_two_outputs_naming_one_file_are_refused(self, tmp_path, capsys, monkeypatch,
+                                                     curve_out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dicke.cfg").write_text("grid.points = 16\ncavity.kind = dicke\n")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "x.csv").write_text("kept\n")
+        if curve_out == "ABSOLUTE":  # --out reaches the same file through the out dir
+            monkeypatch.setenv("BIPHOTON_CAVITY_OUT_DIR", str(tmp_path / "out"))
+            curve_out = str(tmp_path / "out" / "x.csv")
+        else:
+            monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
+            monkeypatch.chdir(tmp_path / "out")
+        assert main(["transmit", "--config", str(tmp_path / "dicke.cfg"), "--out", "x.csv",
+                     "--curve-out", curve_out]) == 2
+        clash = tmp_path / "out" / "x.csv"  # tmp_path is resolved, so it is also the cwd's form
+        assert capsys.readouterr().err == f"i/o error: two outputs name the same file: {clash}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dicke.cfg", "out", "x.csv"]
+        assert (tmp_path / "out" / "x.csv").read_text() == "kept\n"
+
+    def test_a_link_and_its_target_are_two_outputs(self, tmp_path, monkeypatch):
+        """An export replaces a link at its path, not the link's target."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
+        (tmp_path / "dicke.cfg").write_text("grid.points = 16\ncavity.kind = dicke\n")
+        (tmp_path / "t.csv").write_text("old\n")
+        (tmp_path / "link.csv").symlink_to("t.csv")
+        assert main(["transmit", "--config", "dicke.cfg", "--out", "link.csv",
+                     "--curve-out", "t.csv"]) == 0
+        assert not (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "link.csv").read_text().startswith("# format: jsiv1\n")
+        assert (tmp_path / "t.csv").read_text().startswith("# format: curvev1\n")
+
     def test_out_under_a_file_names_that_file(self, config_path, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("x\n")
@@ -625,6 +658,18 @@ class TestIngestCommand:
             assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{bad}{where}" in err
+
+    @pytest.mark.parametrize("command", ["ingest", "entropy"])
+    def test_a_map_past_the_row_bound_is_one_line(self, config_path, tmp_path, capsys,
+                                                  monkeypatch, command):
+        from biphoton_cavity import dataio
+
+        monkeypatch.setattr(dataio, "_MAX_ROWS", 3)
+        measured = tmp_path / "m.csv"
+        measured.write_text("700,700,1\n700,690,0.5\n690,700,0.5\n690,690,1\n")
+        assert main([command, "--config", config_path, "--in", str(measured)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {measured}:4: more than 3 data rows, the cells of the largest grid\n")
 
     @pytest.mark.parametrize("export", ["state", "transmit"])
     def test_a_byte_order_mark_leaves_the_reports_as_they_were(self, config_path, tmp_path,

@@ -22,7 +22,7 @@ from biphoton_cavity import (
     transfer_for,
     wavelength_from_omega,
 )
-from biphoton_cavity import _blockfmt, dataio
+from biphoton_cavity import _blockfmt, config, dataio
 from biphoton_cavity.cli import main
 from biphoton_cavity.config import load_config
 from biphoton_cavity.dataio import INTENSITY_ONLY_FLAG, render_curve, render_jsi, render_sweep
@@ -556,6 +556,51 @@ class TestAtomicWrites:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["out.csv"]
 
+    def test_mode_comes_without_setting_the_umask(self, tmp_path, monkeypatch):
+        """The umask is one per process: setting it, even to read it back, gives
+        a file another thread creates meanwhile the wrong mode."""
+        def refuse_umask(mask):
+            raise AssertionError("write_lines set the process umask")
+
+        (tmp_path / "old.csv").write_text("old\n")
+        (tmp_path / "old.csv").chmod(0o600)
+        previous = os.umask(0o027)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", refuse_umask)
+                dataio.write_lines(tmp_path / "new.csv", ["x\n"])
+                dataio.write_lines(tmp_path / "old.csv", ["y\n"])
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+        assert (tmp_path / "old.csv").stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv"]
+
+    def test_the_temporary_file_is_new_and_beside_the_output(self, tmp_path, monkeypatch):
+        listings = []
+
+        def pieces():
+            yield "x\n"
+            listings.append([p.name for p in tmp_path.iterdir()])
+            yield "y\n"
+
+        dataio.write_lines(tmp_path / "out.csv", pieces())
+        assert len(listings) == 1 and len(listings[0]) == 1
+        assert re.fullmatch(r"out\.csv\.[0-9a-f]{16}\.tmp", listings[0][0])
+        # A link already at the temporary name is neither followed nor removed.
+        monkeypatch.setattr(os, "urandom", bytes)
+        (tmp_path / "target").write_text("kept\n")
+        (tmp_path / f"out.csv.{'0' * 16}.tmp").symlink_to(tmp_path / "target")
+        with pytest.raises(FileExistsError):
+            dataio.write_lines(tmp_path / "out.csv", ["z\n"])
+        (tmp_path / "small.cfg").write_text("grid.points = 8\n")
+        assert main(["entropy", "--config", str(tmp_path / "small.cfg"),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert (tmp_path / "target").read_text() == "kept\n"
+        assert (tmp_path / "out.csv").read_text() == "x\ny\n"
+        assert (tmp_path / f"out.csv.{'0' * 16}.tmp").is_symlink()
+        assert len(list(tmp_path.iterdir())) == 4
+
 
 def _traced_peak(func):
     """Peak memory func() allocates through Python's allocators, above where it started."""
@@ -773,6 +818,52 @@ def eigvalsh_entropy(signal_nm, idler_nm, amplitude):
     p = np.linalg.eigvalsh(rho / np.trace(rho).real)
     p = p[p > 0.0]
     return float(-np.sum(p * np.log(p)))
+
+
+class TestRowBound:
+    """Ingest reads at most as many data rows as the largest grid has cells.
+    A refusal made while reading, the row past that bound or a byte that is
+    not UTF-8, leaves after that one read of the file."""
+
+    ROWS = "700,700,1\n700,690,2\n690,700,3\n690,690,4\n"
+
+    def test_the_bound_is_the_cells_of_the_largest_grid(self):
+        assert dataio._MAX_ROWS == config.MAX_GRID_ARRAY_BYTES // 16 == 67_108_864
+
+    def _outcome(self, path, monkeypatch, bound):
+        """The ingest outcome at `bound` rows, and the reads of the file it took."""
+        passes = []
+        data_chunks = dataio._data_chunks
+        monkeypatch.setattr(dataio, "_data_chunks", lambda *a: passes.append(a) or data_chunks(*a))
+        monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
+        monkeypatch.setattr(dataio, "_MAX_ROWS", bound)
+        return _ingest_outcome(path), len(passes)
+
+    def test_the_row_past_the_bound_is_refused_in_one_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.csv"
+        path.write_text(self.ROWS)
+        assert self._outcome(path, monkeypatch, 3) == (
+            f"{path}:4: more than 3 data rows, the cells of the largest grid", 1)
+
+    def test_a_map_at_the_bound_is_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.csv"
+        path.write_text(self.ROWS)
+        outcome, passes = self._outcome(path, monkeypatch, 4)
+        assert outcome["intensity"] == np.array([1.0, 2.0, 3.0, 4.0]).tobytes() and passes == 1
+
+    @pytest.mark.parametrize("read_chars", [1, 4, 11, 64])
+    def test_the_refusal_names_the_file_line(self, tmp_path, monkeypatch, read_chars):
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        path = tmp_path / "grid.csv"
+        path.write_text("# format: jsiv1\n# columns: signal_nm,idler_nm,intensity\n700,700,1\n"
+                        "# note\n\n700,690,2\n690,700,3\n690,690,4\n")
+        assert self._outcome(path, monkeypatch, 2) == (
+            f"{path}:7: more than 2 data rows, the cells of the largest grid", 1)
+
+    def test_a_byte_not_utf8_is_refused_in_one_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"700,700,1\n700,690,2\n690,700,\xe93\n690,690,4\n")
+        assert self._outcome(path, monkeypatch, 4) == (f"{path}:3: not UTF-8 text", 1)
 
 
 class TestMeasuredAxisDirection:
