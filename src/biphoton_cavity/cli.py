@@ -46,11 +46,6 @@ def _emit(*outputs):
             print(f"wrote {out_path}", file=sys.stderr)
 
 
-def _load(args):
-    config = load_config(args.config)
-    return apply_overrides(config, args.cavity_override, where="--cavity-override")
-
-
 def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
     is_range = ":" in spec
     parts = spec.split(":" if is_range else ",")
@@ -77,26 +72,21 @@ def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
     return tuple(np.round(np.arange(start, end, step), 12))
 
 
-def _cmd_state(args) -> int:
-    config = _load(args)
-    _emit((dataio.render_jsi(input_state_from_config(config), config), args.out))
-    return 0
+def _cmd_state(args, config):
+    return [(dataio.render_jsi(input_state_from_config(config), config), args.out)]
 
 
-def _cmd_transmit(args) -> int:
-    config = _load(args)
+def _cmd_transmit(args, config):
     grid = grid_from_config(config)
     curve = transfer_for(config.cavity.model(), grid.idler_axis)
     output = apply_idler_transfer(input_state_from_config(config, grid), curve)
     outputs = [(dataio.render_jsi(output, config), args.out)]
     if args.curve_out is not None:
         outputs.append((dataio.render_curve(curve, config), args.curve_out))
-    _emit(*outputs)
-    return 0
+    return outputs
 
 
-def _cmd_entropy(args) -> int:
-    config = _load(args)
+def _cmd_entropy(args, config):
     lines = [f"# config.{line}" for line in config.echo_lines()]
     if args.source is not None:
         state, flags = dataio.ingest_measured_jsi(args.source)
@@ -110,12 +100,10 @@ def _cmd_entropy(args) -> int:
         lines.append(f"entropy_bits = {entropy / math.log(2.0):.9g}")
     else:
         lines.append(f"entropy_nats = {entropy:.9g}")
-    _emit((["\n".join(lines) + "\n"], args.out))
-    return 0
+    return [(["\n".join(lines) + "\n"], args.out)]
 
 
-def _cmd_sweep(args) -> int:
-    config = _load(args)
+def _cmd_sweep(args, config):
     spec = SWEEPS[args.swept_parameter]
     values = spec.default_values if args.values is None else _parse_values(args.values, "--values")
     series = spec.default_series if args.series is None else _parse_values(args.series, "--series")
@@ -123,12 +111,10 @@ def _cmd_sweep(args) -> int:
 
     def pieces():  # a generator: no point runs before _emit has checked --out
         yield from dataio.render_sweep(run_sweep(plan))
-    _emit((pieces(), args.out))
-    return 0
+    return [(pieces(), args.out)]
 
 
-def _cmd_ingest(args) -> int:
-    _load(args)  # config is required by the surface; validates even if unused
+def _cmd_ingest(args, config):
     state, flags = dataio.ingest_measured_jsi(args.source)
     lines = [
         f"# source: {args.source}",
@@ -138,8 +124,7 @@ def _cmd_ingest(args) -> int:
     if flags:
         lines.append(f"# flags: {';'.join(flags)}")
     lines.append(f"entropy_nats = {entropy_of(state):.9g}")
-    _emit((["\n".join(lines) + "\n"], args.out))
-    return 0
+    return [(["\n".join(lines) + "\n"], args.out)]
 
 
 def build_parser() -> _Parser:
@@ -188,7 +173,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        config = apply_overrides(load_config(args.config), args.cavity_override,
+                                 where="--cavity-override")
+        _emit(*args.func(args, config))
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,9 @@ from .state import PM_KINDS, PUMP_CONVENTIONS, FilterSpec, PhaseMatchingSpec, Pu
 # exceed this, i.e. above 8192 points; the pipeline holds several such arrays.
 MAX_GRID_ARRAY_BYTES = 1 << 30
 
+# A config file longer than this is refused unread; its 18 keys fit in well under 1 kB.
+MAX_CONFIG_BYTES = 1 << 16
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or value; carries the offending key."""
@@ -60,7 +63,7 @@ class CavityConfig:
         higher frequency), instead of at center_nm."""
         dicke = self.kind == "dicke"
         ratio = self.coupling_ratio if coupling_ratio is None else coupling_ratio
-        gamma = 1.0 / self.lifetime_fs
+        gamma = 1.0 / self.lifetime_fs if self.lifetime_fs else math.inf  # CavityModel refuses inf
         emitter = omega_from_wavelength(self.emitter_nm) if dicke or detuning_nm is not None else None
         omega_0 = (omega_from_wavelength(self.center_nm) if detuning_nm is None
                    else emitter + detuning_nm * (emitter / self.emitter_nm))
@@ -191,7 +194,11 @@ def with_values(config: SimConfig, values: dict[str, object], where: str) -> Sim
 def load_config(path) -> SimConfig:
     """Read and parse a configuration file."""
     path = Path(path)
-    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+    with path.open("rb") as handle:
+        data = handle.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"{path}: more than {MAX_CONFIG_BYTES} bytes, too long for a config file")
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

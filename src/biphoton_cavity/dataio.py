@@ -41,6 +41,7 @@ _READ_CHARS = 1 << 16
 _SKIP_MARKS = "#\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # surrogateescape's code for a byte not UTF-8
 _MAX_ROWS = MAX_GRID_ARRAY_BYTES // 16  # data rows: the cells of the largest grid allowed
+_MAX_LINE_CHARS = 1 << 20  # at least _READ_CHARS, so only a read's first and last line can pass it
 
 
 class _Refused(ValueError):
@@ -168,8 +169,9 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
     goes line by line: it loses the lines `_skip_line` drops (setting
     `columns`) and numbers the others in an index array; any other read is
     numbered by a range.  A byte that is not UTF-8 (found by one search of the
-    read but its unfinished last line) and the data line past `_MAX_ROWS` raise
-    _Refused naming their line.  A byte-order mark that opens the file is dropped."""
+    read but its unfinished last line), a line longer than `_MAX_LINE_CHARS`
+    and the data line past `_MAX_ROWS` raise _Refused naming their line.  A
+    byte-order mark that opens the file is dropped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         tail, first, more, rows = "", 1, True, 0
         while more:
@@ -180,6 +182,9 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
             tail = lines.pop() if more else ""
             numbers = range(first, first + len(lines))
             first = numbers.stop
+            for line, number in (*zip(lines[:1], numbers), (tail, first)):
+                if len(line) > _MAX_LINE_CHARS:
+                    raise _Refused(f"{path}:{number}: line longer than {_MAX_LINE_CHARS} characters")
             if "" in lines or not text.isascii() or any(mark in text for mark in _SKIP_MARKS):
                 if not text.isascii() and (bad := _NOT_UTF8.search(text, 0, len(text) - len(tail))):
                     number = numbers.start + text.count("\n", 0, bad.start())

@@ -194,6 +194,29 @@ class TestErrorPaths:
         bad.write_text("grid.points = -3\n")
         assert main(["entropy", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["state"], ["transmit", "--curve-out", "c.csv"], ["entropy", "--in", "missing.csv"],
+        ["ingest", "--in", "missing.csv"], ["sweep-coupling", "--values=,"],
+        ["sweep-pump", "--series=x"], ["sweep-detuning", "--values=1:0:1"],
+    ], ids=lambda argv: argv[0])
+    def test_the_config_is_loaded_once_and_refused_first(self, tmp_path, capsys, monkeypatch,
+                                                          argv):
+        """A bad config is refused before the command's own flags, its --in file
+        and its output paths are looked at."""
+        import biphoton_cavity.cli as cli
+
+        loads = []
+        monkeypatch.setattr(cli, "load_config", lambda path: loads.append(path) or load_config(path))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "bad.cfg").write_text("grid.points = 1\n")
+        assert main([*argv, "--config", "bad.cfg", "--out", "dir"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad.cfg:1: key 'grid.points': grid needs at least 2 points\n")
+        assert loads == ["bad.cfg"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg", "dir"]
+
     def test_non_utf8_config_names_file(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"
         bad.write_bytes(SMALL_CFG.encode() + b"# caf\xe9\n")

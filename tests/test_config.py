@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import os
 import re
 from pathlib import Path
 
 import pytest
 
 from biphoton_cavity import ConfigError, load_config, parse_config_text
-from biphoton_cavity.config import MAX_GRID_ARRAY_BYTES, apply_overrides, with_values
+from biphoton_cavity.config import (MAX_CONFIG_BYTES, MAX_GRID_ARRAY_BYTES, apply_overrides,
+                                    with_values)
 
 REFERENCE_TEXT = """
 grid.center_nm = 685
@@ -152,6 +154,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r":2: unknown key '\\ufeffcavity\.kind'$"):
             load_config(path)
 
+    def test_a_file_past_the_size_bound_is_refused(self, tmp_path):
+        assert MAX_CONFIG_BYTES == 65_536
+        comments = b"# " + b"x" * 61 + b"\n"  # 64 bytes
+        path = tmp_path / "long.cfg"
+        path.write_bytes(comments * (MAX_CONFIG_BYTES // 64))
+        assert load_config(path) == parse_config_text("")
+        path.write_bytes(comments * (MAX_CONFIG_BYTES // 64) + b"\n")
+        with pytest.raises(ConfigError) as refused:
+            load_config(path)
+        assert str(refused.value) == f"{path}: more than 65536 bytes, too long for a config file"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_an_endless_file_is_refused(self):
+        with pytest.raises(ConfigError, match="^/dev/zero: more than 65536 bytes, too long"):
+            load_config("/dev/zero")
+
     def test_repo_reference_config_parses(self):
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.cfg")
         assert config.pump.bandwidth_convention == "at_degeneracy"
@@ -215,6 +233,18 @@ class TestOverrides:
             key for key in config.applied_defaults
             if key not in ("pump.bandwidth_nm", "cavity.coupling_ratio"))
         assert out.grid is config.grid and out.idler_filter is config.idler_filter
+
+    @pytest.mark.parametrize("lifetime_fs", [0.0, -0.0])
+    def test_a_zero_lifetime_is_a_value_error(self, lifetime_fs):
+        """The parser refuses 0 first; the library routes reach the cavity model."""
+        config = parse_config_text(REFERENCE_TEXT)
+        with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
+            dataclasses.replace(config.cavity, lifetime_fs=lifetime_fs)
+        with pytest.raises(ConfigError) as refused:
+            with_values(config, {"cavity.lifetime_fs": lifetime_fs}, "there")
+        assert str(refused.value) == (
+            "there: cavity.kind, cavity.center_nm, cavity.lifetime_fs, cavity.coupling_ratio, "
+            "cavity.emitter_nm, cavity.emitter_damping_ratio: gamma must be positive and finite")
 
     def test_configs_are_frozen(self):
         config = parse_config_text(REFERENCE_TEXT)

@@ -866,6 +866,46 @@ class TestRowBound:
         assert self._outcome(path, monkeypatch, 4) == (f"{path}:3: not UTF-8 text", 1)
 
 
+class TestLineBound:
+    """Ingest refuses a line longer than `_MAX_LINE_CHARS` in the read that
+    passes the bound, so no line holds more than the bound plus one read."""
+
+    ROWS = "700,700,1\n700,690,2\n690,700,3\n690,690,4\n"
+
+    def test_the_bound_is_at_least_one_read(self):
+        assert dataio._MAX_LINE_CHARS == 1 << 20 >= dataio._READ_CHARS
+
+    def _outcome(self, path, monkeypatch, read_chars):
+        """The ingest outcome with a 64-character line bound, and the reads of the file it took."""
+        passes = []
+        data_chunks = dataio._data_chunks
+        monkeypatch.setattr(dataio, "_data_chunks", lambda *a: passes.append(a) or data_chunks(*a))
+        monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        monkeypatch.setattr(dataio, "_MAX_LINE_CHARS", 64)
+        return _ingest_outcome(path), len(passes)
+
+    @pytest.mark.parametrize("read_chars", [1, 4, 11, 64])
+    @pytest.mark.parametrize("text, lineno", [
+        ("700,700,1\n# " + "x" * 63 + "\n700,690,2\n690,700,3\n690,690,4\n", 2),
+        ("700,700,1\n700,690,2\n" + "junk" * 16 + "x\n690,700,3\n690,690,4\n", 3),
+        (ROWS + "junk" * 16 + "x", 5),  # unfinished until EOF
+    ], ids=["mid-file comment", "mid-file data", "unfinished last line"])
+    def test_a_longer_line_is_refused_in_one_read(self, tmp_path, monkeypatch, read_chars, text,
+                                                  lineno):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        assert self._outcome(path, monkeypatch, read_chars) == (
+            f"{path}:{lineno}: line longer than 64 characters", 1)
+
+    @pytest.mark.parametrize("read_chars", [1, 4, 11, 64])
+    def test_a_line_at_the_bound_is_read(self, tmp_path, monkeypatch, read_chars):
+        path = tmp_path / "long.csv"
+        path.write_text("# " + "x" * 62 + "\n700,700," + "0" * 55 + "1\n" + self.ROWS[10:])
+        outcome, passes = self._outcome(path, monkeypatch, read_chars)
+        assert outcome["intensity"] == np.array([1.0, 2.0, 3.0, 4.0]).tobytes() and passes == 1
+
+
 class TestMeasuredAxisDirection:
     @pytest.mark.parametrize("signal_step, idler_step", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
     def test_mirrored_map_gives_the_same_entropy(self, tmp_path, rng, signal_step, idler_step):
