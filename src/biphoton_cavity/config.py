@@ -9,21 +9,15 @@ Unknown keys are rejected; omitted keys take the documented defaults and the
 applied defaults are recorded on the returned config.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cavity import CAVITY_KINDS, CavityModel
-from .grid import build_grid, omega_from_wavelength
+from .grid import MAX_GRID_ARRAY_BYTES, build_grid, omega_from_wavelength  # the bound: re-exported
 from .state import PM_KINDS, PUMP_CONVENTIONS, FilterSpec, PhaseMatchingSpec, PumpSpec
 
-
-# grid.points is rejected when one n x n complex128 array (16 n^2 bytes) would
-# exceed this, i.e. above 8192 points; the pipeline holds several such arrays.
-MAX_GRID_ARRAY_BYTES = 1 << 30
 
 # A config file longer than this is refused unread; its 18 keys fit in well under 1 kB.
 MAX_CONFIG_BYTES = 1 << 16
@@ -54,6 +48,9 @@ class CavityConfig:
 
     def __post_init__(self):
         self.model()  # so a cavity that CavityModel or a unit conversion refuses fails here
+        omega_from_wavelength(self.emitter_nm)  # dicke-only values, checked for every kind
+        if not (self.coupling_ratio >= 0.0 and self.emitter_damping_ratio >= 0.0):
+            raise ValueError("coupling_ratio and emitter_damping_ratio must be non-negative")
 
     def model(self, coupling_ratio: float | None = None,
               detuning_nm: float | None = None) -> CavityModel:
@@ -87,26 +84,26 @@ class SimConfig:
         return [f"{key} = {_format_value(value)}" for key, value in _flatten(self)]
 
 
-# key -> (section attr, field attr, parser name or tuple of allowed values)
-_SCHEMA: dict[str, tuple[str, str, str | tuple[str, ...]]] = {
-    "grid.center_nm": ("grid", "center_nm", "pos_float"),
-    "grid.span_nm": ("grid", "span_nm", "pos_float"),
-    "grid.points": ("grid", "points", "points"),
-    "pump.center_down_nm": ("pump", "center_down_nm", "pos_float"),
-    "pump.bandwidth_nm": ("pump", "bandwidth_nm", "pos_float"),
+# key -> (section attr, field attr, float, int or a tuple of the allowed words)
+_SCHEMA: dict[str, tuple[str, str, type | tuple[str, ...]]] = {
+    "grid.center_nm": ("grid", "center_nm", float),
+    "grid.span_nm": ("grid", "span_nm", float),
+    "grid.points": ("grid", "points", int),
+    "pump.center_down_nm": ("pump", "center_down_nm", float),
+    "pump.bandwidth_nm": ("pump", "bandwidth_nm", float),
     "pump.bandwidth_convention": ("pump", "bandwidth_convention", PUMP_CONVENTIONS),
     "phase_matching.kind": ("phase_matching", "kind", PM_KINDS),
-    "phase_matching.width_nm": ("phase_matching", "width_nm", "pos_float"),
-    "filters.signal.center_nm": ("signal_filter", "center_nm", "pos_float"),
-    "filters.signal.fwhm_nm": ("signal_filter", "fwhm_nm", "pos_float"),
-    "filters.idler.center_nm": ("idler_filter", "center_nm", "pos_float"),
-    "filters.idler.fwhm_nm": ("idler_filter", "fwhm_nm", "pos_float"),
+    "phase_matching.width_nm": ("phase_matching", "width_nm", float),
+    "filters.signal.center_nm": ("signal_filter", "center_nm", float),
+    "filters.signal.fwhm_nm": ("signal_filter", "fwhm_nm", float),
+    "filters.idler.center_nm": ("idler_filter", "center_nm", float),
+    "filters.idler.fwhm_nm": ("idler_filter", "fwhm_nm", float),
     "cavity.kind": ("cavity", "kind", CAVITY_KINDS),
-    "cavity.center_nm": ("cavity", "center_nm", "pos_float"),
-    "cavity.lifetime_fs": ("cavity", "lifetime_fs", "pos_float"),
-    "cavity.coupling_ratio": ("cavity", "coupling_ratio", "nonneg_float"),
-    "cavity.emitter_nm": ("cavity", "emitter_nm", "pos_float"),
-    "cavity.emitter_damping_ratio": ("cavity", "emitter_damping_ratio", "nonneg_float"),
+    "cavity.center_nm": ("cavity", "center_nm", float),
+    "cavity.lifetime_fs": ("cavity", "lifetime_fs", float),
+    "cavity.coupling_ratio": ("cavity", "coupling_ratio", float),
+    "cavity.emitter_nm": ("cavity", "emitter_nm", float),
+    "cavity.emitter_damping_ratio": ("cavity", "emitter_damping_ratio", float),
 }
 
 
@@ -115,39 +112,23 @@ def section_keys(section: str) -> str:
     return ", ".join(key for key, (owner, _, _) in _SCHEMA.items() if owner == section)
 
 
-def _parse_value(key: str, raw: str, kind: str | tuple[str, ...], where: str):
+def _parse_value(key: str, raw: str, kind: type | tuple[str, ...], where: str):
+    """`raw` as a finite float, an int or one of the allowed words; every range rule
+    belongs to the section that uses the value."""
     def fail(message):
         return ConfigError(f"{where}: key {key!r}: {message}")
 
-    if kind in ("pos_float", "nonneg_float"):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise fail(f"expected a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise fail(f"must be finite, got {raw!r}")
-        if kind == "pos_float" and not value > 0.0:
-            raise fail(f"must be positive, got {value!r}")
-        if kind == "nonneg_float" and value < 0.0:
-            raise fail(f"must be non-negative, got {value!r}")
-        return value
-    if kind == "points":
-        try:
-            value = int(raw)
-        except ValueError:
-            raise fail(f"expected an integer, got {raw!r}") from None
-        if value < 2:
-            raise fail("grid needs at least 2 points")
-        array_bytes = 16 * value * value
-        if array_bytes > MAX_GRID_ARRAY_BYTES:
-            raise fail(f"one {value}x{value} complex grid array needs {array_bytes} bytes, "
-                       f"over the {MAX_GRID_ARRAY_BYTES}-byte limit")
-        return value
     if isinstance(kind, tuple):
         if raw not in kind:
             raise fail(f"must be one of {kind}, got {raw!r}")
         return raw
-    raise AssertionError(kind)
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise fail(f"expected {'a number' if kind is float else 'an integer'}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise fail(f"must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> SimConfig:

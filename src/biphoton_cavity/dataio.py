@@ -247,6 +247,9 @@ def _read_table(path):
             if widths[0] == 5
             else ["signal_nm", "idler_nm", "intensity"]
         )
+    for k, name in enumerate(columns):
+        if name in columns[:k]:
+            raise ValueError(f"{path}: column {name!r} named twice")
     for name in ("signal_nm", "idler_nm", "intensity"):
         if name not in columns:
             raise ValueError(f"{path}: missing required column {name!r}")

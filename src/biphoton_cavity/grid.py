@@ -12,6 +12,10 @@ import numpy as np
 C_NM_PER_FS = 299.792458
 TWO_PI_C = 2.0 * np.pi * C_NM_PER_FS
 
+# build_grid refuses n points when one n x n complex128 array (16 n^2 bytes) would
+# exceed this, i.e. above 8192 points; the pipeline holds several such arrays.
+MAX_GRID_ARRAY_BYTES = 1 << 30
+
 
 def _two_pi_c_over(x, message):
     """2*pi*c / x, which maps nm to rad/fs and back; ValueError(message) unless
@@ -106,6 +110,9 @@ def build_grid(center_nm: float, span_nm: float, n: int) -> FrequencyGrid:
     """
     if n < 2:
         raise ValueError("grid needs at least 2 points per axis")
+    if 16 * n * n > MAX_GRID_ARRAY_BYTES:  # before any array is made
+        raise ValueError(f"one {n}x{n} complex grid array needs {16 * n * n} bytes, "
+                         f"over the {MAX_GRID_ARRAY_BYTES}-byte limit")
     if not np.isfinite(span_nm) or span_nm <= 0.0:
         raise ValueError("span must be finite and positive (nm)")
     if not np.isfinite(center_nm) or center_nm <= span_nm / 2.0:

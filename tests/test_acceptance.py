@@ -91,48 +91,63 @@ def transformed_entropy(kind, points=512, coupling_ratio=1.0):
     return _cache[key]
 
 
-# Oracles for the reference configuration, from the README "Physics
-# conventions" with numpy alone.  With x = w_s - w_f and y = w_i - w_f (the
-# pump sum frequency is 2 w_f) the input amplitude is the real Gaussian
-# F(x, y) = exp(-a (x + y)^2 - b (x^2 + y^2)), a = 1/(4 sigma_p^2) and
-# b = 1/sigma_f^2.
+# Oracles for the input states, from the README "Physics conventions" with
+# numpy alone.  With x = w_s - w_f and y = w_i - w_f (the pump sum frequency
+# is 2 w_f) the input amplitude is the real Gaussian
+# F(x, y) = exp(-p (x + y)^2 - q (x - y)^2 - f_s x^2 - f_i y^2), up to terms
+# linear in x and y from off-centre filters, which move it without changing
+# its Schmidt weights; that is exp(-(A x^2 + 2 C x y + B y^2)) with
+# A = p + q + f_s, B = p + q + f_i and C = p - q.
 ORACLE_TOL = 1e-9
 C_NM_PER_FS = 299.792458
 
 
-def gaussian_coefficients(convention="at_degeneracy", pump_nm=6.0, filter_nm=8.0):
-    """(a, b) for a 685 nm state with centred, equal filters; the defaults
-    give the 6 nm pump / 8 nm filter reference state."""
+def gaussian_coefficients(convention="at_degeneracy", pump_nm=6.0, filter_nm=8.0, pm_nm=None,
+                          signal_filter=None, idler_filter=None):
+    """(A, B, C) of a state degenerate at 685 nm on the 685 +- 20 nm grid.
+    pm_nm is the FWHM of gaussian phase matching, None for flat; each filter
+    is (center_nm, fwhm_nm), by default (685, filter_nm).  The defaults give
+    the 6 nm pump / 8 nm filter reference state."""
     def width(fwhm_nm, at_nm):
         return 2.0 * np.pi * C_NM_PER_FS * fwhm_nm / at_nm**2
 
-    pump_at = 685.0 if convention == "at_degeneracy" else 685.0 / 2.0
-    # The pump intensity exp(-u^2/(2 sigma_p^2)) and the filter amplitude
-    # exp(-y^2/sigma_f^2) each have the configured FWHM.
-    sigma_p = width(pump_nm, pump_at) / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-    sigma_f = width(filter_nm, 685.0) / (2.0 * np.sqrt(np.log(2.0)))
-    return 1.0 / (4.0 * sigma_p**2), 1.0 / sigma_f**2
+    def envelope(fwhm_nm, at_nm):
+        """1/(4 sigma^2) of the pump or phase-matching exp(-u^2/(4 sigma^2)), whose
+        square has the FWHM."""
+        return (2.0 * np.sqrt(2.0 * np.log(2.0)) / width(fwhm_nm, at_nm)) ** 2 / 4.0
+
+    def filter_(center_nm, fwhm_nm):
+        """1/sigma^2 of the filter amplitude exp(-y^2/sigma^2), which has the FWHM."""
+        return (2.0 * np.sqrt(np.log(2.0)) / width(fwhm_nm, center_nm)) ** 2
+
+    p = envelope(pump_nm, 685.0 if convention == "at_degeneracy" else 685.0 / 2.0)
+    # phase matching converts its width at the wavelength of the grid's centre frequency
+    q = 0.0 if pm_nm is None else envelope(pm_nm, 2.0 / (1.0 / 665.0 + 1.0 / 705.0))
+    f_s = filter_(*(signal_filter or (685.0, filter_nm)))
+    f_i = filter_(*(idler_filter or (685.0, filter_nm)))
+    return p + q + f_s, p + q + f_i, p - q
 
 
-def closed_form_entropy(a, b):
-    """Geometric Schmidt weights (1 - mu) mu^k of a two-mode Gaussian
+def closed_form_entropy(a, b, c):
+    """Geometric Schmidt weights (1 - mu) mu^k of the two-mode Gaussian
+    exp(-(a x^2 + 2 c x y + b y^2)), of purity sqrt(1 - c^2 / (a b))
     (Law, Walmsley & Eberly, PRL 84, 5304 (2000))."""
-    purity = np.sqrt(1.0 - a**2 / (a + b) ** 2)
+    purity = np.sqrt(1.0 - c**2 / (a * b))
     mu = (1.0 - purity) / (1.0 + purity)
     return float(-np.log1p(-mu) - mu * np.log(mu) / (1.0 - mu))
 
 
-def half_analytic_entropy(a, b, idler_transfer=None):
-    """Entropy of the idler's reduced density matrix with the signal
-    integrated out in closed form:
-    rho(y, y') = C(y) C*(y') exp(-(a+b)(y^2+y'^2) + a^2 (y+y')^2 / (2(a+b))),
+def half_analytic_entropy(a, b, c, idler_transfer=None):
+    """Entropy of the idler's reduced density matrix with the signal of
+    exp(-(a x^2 + 2 c x y + b y^2)) integrated out in closed form:
+    rho(y, y') = C(y) C*(y') exp(-b (y^2 + y'^2) + c^2 (y + y')^2 / (2 a)),
     diagonalized on its own 1-d grid in rad/fs, not the program's.
     """
     y = np.linspace(-0.12, 0.12, 801)
-    c = np.ones(y.size) if idler_transfer is None else idler_transfer(y)
+    t = np.ones(y.size) if idler_transfer is None else idler_transfer(y)
     yy, yp = y[:, None], y[None, :]
-    rho = (c[:, None] * np.conj(c)[None, :]
-           * np.exp(-(a + b) * (yy**2 + yp**2) + a**2 * (yy + yp) ** 2 / (2.0 * (a + b))))
+    rho = (t[:, None] * np.conj(t)[None, :]
+           * np.exp(-b * (yy**2 + yp**2) + c**2 * (yy + yp) ** 2 / (2.0 * a)))
     weights = np.linalg.eigvalsh(rho)
     weights = weights[weights > 0.0]
     weights /= weights.sum()

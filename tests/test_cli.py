@@ -213,7 +213,7 @@ class TestErrorPaths:
         (tmp_path / "bad.cfg").write_text("grid.points = 1\n")
         assert main([*argv, "--config", "bad.cfg", "--out", "dir"]) == 1
         assert capsys.readouterr().err == (
-            "error: bad.cfg:1: key 'grid.points': grid needs at least 2 points\n")
+            "error: bad.cfg: grid.center_nm, grid.span_nm, grid.points: grid needs at least 2 points per axis\n")
         assert loads == ["bad.cfg"]
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg", "dir"]
 

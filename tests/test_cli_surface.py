@@ -27,7 +27,7 @@ from biphoton_cavity.sweep import SWEEPS
 
 BASE_CFG = "grid.points = 16\ncavity.kind = dicke\n"
 FLOAT_KEYS = tuple(key for key, (*_, kind) in _SCHEMA.items()
-                   if kind in ("pos_float", "nonneg_float"))
+                   if kind is float)
 HOSTILE_VALUES = ("0", "-1", "1e-320", "5e-324", "1e-12", "1e300", "1.7e308", "nan", "inf")
 COMMANDS = (("state",), ("transmit",), ("entropy",), ("sweep-detuning", "--values=-1,1"))
 # A sweep point sets these keys from its own values, and a refusal names the value.
@@ -202,6 +202,15 @@ SET_VALUE_ROUTES = {
          "--cavity-override"),
         (["sweep-coupling", "--values=1e9", "--series=0", "--config", BASE],
          "coupling_ratio value 1e+09, cavity_detuning_nm value 0")),
+    "pump.bandwidth_nm = -1": (
+        (["state", "--config", CONFIG], CONFIG),
+        (["sweep-pump", "--values=-1", "--series=1", "--config", BASE],
+         "pump_bandwidth_nm value -1")),
+    "cavity.coupling_ratio = -1": (
+        (["state", "--config", CONFIG], CONFIG),
+        (["state", "--cavity-override", "coupling_ratio=-1", "--config", BASE],
+         "--cavity-override"),
+        (["sweep-pump", "--values=1", "--series=-1", "--config", BASE], "coupling_ratio value -1")),
 }
 
 
@@ -221,10 +230,22 @@ def test_a_set_value_is_refused_with_one_tail_on_every_route(workdir, setting):
     assert len(tails) == 1 and tails.pop().startswith(f"{keys}: "), tails
 
 
+@pytest.mark.parametrize("setting", ["coupling_ratio = -1", "emitter_damping_ratio = -1",
+                                     "emitter_nm = -5"])
+def test_a_value_a_two_sided_cavity_never_reads_is_still_refused(workdir, setting):
+    cfg = workdir / "two_sided.cfg"
+    cfg.write_text(f"grid.points = 16\ncavity.kind = two_sided\ncavity.{setting}\n")
+    code, lines = run_main(["state", "--config", str(cfg), "--out", str(workdir / "out")])
+    assert code == 1 and len(lines) == 1, lines
+    key = f"cavity.{setting.partition(' ')[0]}"
+    assert lines[0].startswith(f"error: {cfg}") and key in lines[0], lines
+
+
 JSI_COLUMNS = ("signal_nm", "idler_nm", "re", "im", "intensity")
 SIGNAL_NM, IDLER_NM = (690.0, 685.0, 680.0), (695.0, 688.0, 684.0, 679.0)
-DEFECTS = ("truncated row", "ragged row", "missing row", "swapped columns", "missing column",
-           "non-finite cell", "not UTF-8", "axis at a float limit", "all-zero amplitude")
+DEFECTS = ("truncated row", "ragged row", "missing row", "swapped columns", "repeated column",
+           "missing column", "non-finite cell", "not UTF-8", "axis at a float limit",
+           "all-zero amplitude")
 
 
 @st.composite
@@ -253,10 +274,10 @@ def defective_jsi(draw):
         rows[row] = (rows[row] + ["1.0"])[:draw(st.sampled_from((1, 2, 3, 4, 6)))]
     elif defect == "missing row":
         del rows[row]
-    elif defect == "swapped columns":
+    elif defect in ("swapped columns", "repeated column"):  # b's name at a, and a's or b's at b
         a, b = draw(st.lists(st.integers(0, len(columns) - 1), min_size=2, max_size=2,
                              unique=True))
-        columns[a], columns[b] = columns[b], columns[a]
+        columns[a], columns[b] = columns[b], columns[a if defect == "swapped columns" else b]
     elif defect == "missing column":
         del columns[draw(st.integers(0, len(columns) - 1))]
     elif defect == "non-finite cell":

@@ -9,6 +9,7 @@ import pytest
 from biphoton_cavity import ConfigError, load_config, parse_config_text
 from biphoton_cavity.config import (MAX_CONFIG_BYTES, MAX_GRID_ARRAY_BYTES, apply_overrides,
                                     with_values)
+from biphoton_cavity.grid import build_grid
 
 REFERENCE_TEXT = """
 grid.center_nm = 685
@@ -87,8 +88,21 @@ class TestParsing:
         assert parse_config_text(f"grid.points = {largest}\n").grid.points == largest == 8192
         assert parse_config_text("grid.points = 2048\n").grid.points == 2048
         for points in (largest + 1, 200000):
-            with pytest.raises(ConfigError, match=rf"'grid\.points'.*{16 * points * points} bytes"):
+            with pytest.raises(ConfigError, match=rf"grid\.points.*{16 * points * points} bytes"):
                 parse_config_text(f"grid.points = {points}\n")
+
+    def test_every_library_route_to_a_grid_is_bounded(self):
+        """with_values, dataclasses.replace and build_grid each refuse 8193 points before
+        any array is made; no state is composed."""
+        config = parse_config_text("grid.points = 16\n")
+        too_many = "one 8193x8193 complex grid array needs 1074003984 bytes"
+        with pytest.raises(ConfigError, match=f"^there: grid.center_nm, .*: {too_many}"):
+            with_values(config, {"grid.points": 8193}, "there")
+        with pytest.raises(ValueError, match=f"^{too_many}"):
+            dataclasses.replace(config.grid, points=8193)
+        with pytest.raises(ValueError, match=f"^{too_many}"):
+            build_grid(685.0, 40.0, 8193)
+        assert build_grid(685.0, 40.0, 8192).n_signal == 8192
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -236,7 +250,7 @@ class TestOverrides:
 
     @pytest.mark.parametrize("lifetime_fs", [0.0, -0.0])
     def test_a_zero_lifetime_is_a_value_error(self, lifetime_fs):
-        """The parser refuses 0 first; the library routes reach the cavity model."""
+        """The library routes reach the cavity model, as the parser's does."""
         config = parse_config_text(REFERENCE_TEXT)
         with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
             dataclasses.replace(config.cavity, lifetime_fs=lifetime_fs)

@@ -337,6 +337,8 @@ class TestIngestParserEquivalence:
          ":6: negative intensity at cell (signal_nm=700, idler_nm=690)"),
         ("width after blank lines", b"\n700,700,1,0\n700,690,2,0\n690,700,3,0\n690,690,4,0\n",
          ":4: expected 3 columns, got 4"),
+        ("repeated column", b"# columns: signal_nm,idler_nm,intensity,intensity\n700,700,1,5\n"
+         b"700,690,2,6\n690,700,3,7\n690,690,4,8\n", ": column 'intensity' named twice"),
     ])
     def test_fast_path_agrees_with_fallback(self, tmp_path, monkeypatch, case, body, expected):
         path = tmp_path / "edge.csv"

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -30,3 +31,38 @@ class TestPublicSurface:
         done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.split() == []
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+class TestBenchmarkImports:
+    """The names the benchmark's child processes take from the package exist, so a
+    rename in the package fails here rather than in a benchmark run."""
+
+    def test_every_probe_import_resolves(self):
+        tree = ast.parse((BENCH / "probe.py").read_text(encoding="utf-8"))
+        imports = [(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module.partition(".")[0] == "biphoton_cavity"
+                   for alias in node.names]
+        assert imports
+        for module, name in imports:
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+    def test_the_cli_loads_every_traced_layer_and_sized_function(self, tmp_path):
+        tree = ast.parse((BENCH / "trace_child.py").read_text(encoding="utf-8"))
+        named = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        layers, sized = (ast.literal_eval(named[name]) for name in ("LAYERS", "SIZED"))
+        src = str(Path(biphoton_cavity.__file__).resolve().parent.parent)
+        script = "import sys, biphoton_cavity.cli; print(' '.join(sorted(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        loaded = set(done.stdout.split())
+        assert {f"biphoton_cavity.{layer}" for layer in layers} <= loaded
+        for traced in sized:
+            layer, _, function = traced.partition(".")
+            assert layer in layers
+            assert inspect.isfunction(getattr(importlib.import_module(f"biphoton_cavity.{layer}"),
+                                              function, None)), traced

@@ -312,15 +312,26 @@ def boundary_mass(state):
 
 
 class TestClosedFormProperty:
-    @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(pump_nm=st.floats(2.0, 10.0), filter_nm=st.floats(4.0, 12.0),
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(convention=st.sampled_from(["at_degeneracy", "at_pump"]), pump_nm=st.floats(2.0, 10.0),
+           pm_nm=st.none() | st.floats(2.0, 20.0),
+           signal=st.tuples(st.floats(682.0, 688.0), st.floats(4.0, 10.0)),
+           idler=st.tuples(st.floats(682.0, 688.0), st.floats(4.0, 10.0)),
            points=st.sampled_from([128, 192, 256]))
-    def test_input_entropy_matches_closed_form(self, pump_nm, filter_nm, points):
-        """Law, Walmsley & Eberly, PRL 84, 5304 (2000), on any resolved Gaussian state."""
+    def test_input_entropy_matches_closed_form(self, convention, pump_nm, pm_nm, signal, idler,
+                                               points):
+        """Law, Walmsley & Eberly, PRL 84, 5304 (2000), on any resolved Gaussian state:
+        either pump convention, flat or gaussian phase matching, unequal and off-centre
+        filters."""
         config = parse_config_text(
             f"grid.points = {points}\npump.bandwidth_nm = {pump_nm!r}\n"
-            f"filters.signal.fwhm_nm = {filter_nm!r}\nfilters.idler.fwhm_nm = {filter_nm!r}\n")
+            f"pump.bandwidth_convention = {convention}\n"
+            + ("" if pm_nm is None else
+               f"phase_matching.kind = gaussian\nphase_matching.width_nm = {pm_nm!r}\n")
+            + f"filters.signal.center_nm = {signal[0]!r}\nfilters.signal.fwhm_nm = {signal[1]!r}\n"
+            f"filters.idler.center_nm = {idler[0]!r}\nfilters.idler.fwhm_nm = {idler[1]!r}\n")
         state = input_state_from_config(config)
         assume(boundary_mass(state) <= 1e-12)
-        expected = closed_form_entropy(*gaussian_coefficients(pump_nm=pump_nm, filter_nm=filter_nm))
+        expected = closed_form_entropy(*gaussian_coefficients(
+            convention, pump_nm, pm_nm=pm_nm, signal_filter=signal, idler_filter=idler))
         assert abs(entropy_of(state) - expected) < ORACLE_TOL
