@@ -13,7 +13,10 @@ C_NM_PER_FS = 299.792458
 TWO_PI_C = 2.0 * np.pi * C_NM_PER_FS
 
 # build_grid refuses n points when one n x n complex128 array (16 n^2 bytes) would
-# exceed this, i.e. above 8192 points; the pipeline holds several such arrays.
+# exceed this, i.e. above 8192 points. In real grid arrays (8 n^2 bytes, 512 MiB at
+# 8192 points), composing an input state holds one, two with gaussian phase matching,
+# and a sweep point five: its one input state, the transmitted product and the SVD's
+# copy of it, one real and two complex arrays. README "Command line" gives measured peaks.
 MAX_GRID_ARRAY_BYTES = 1 << 30
 
 

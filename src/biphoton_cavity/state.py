@@ -125,8 +125,9 @@ def pump_envelope(pump: PumpSpec, grid: FrequencyGrid) -> np.ndarray:
     Real, in (0, 1], equal to 1 exactly on the anti-diagonal
     omega_s + omega_i = omega_p.
     """
-    u = grid.signal_axis[:, None] + grid.idler_axis[None, :] - pump.sum_frequency
-    return np.exp(-(u**2) / (4.0 * pump.sigma**2))
+    u = np.add.outer(grid.signal_axis, grid.idler_axis)
+    u -= pump.sum_frequency
+    return _gaussian_in_place(u, pump.sigma)
 
 
 def phase_matching_envelope(pm: PhaseMatchingSpec, grid: FrequencyGrid) -> np.ndarray:
@@ -140,8 +141,14 @@ def phase_matching_envelope(pm: PhaseMatchingSpec, grid: FrequencyGrid) -> np.nd
     center_omega = 0.5 * (grid.signal_axis[0] + grid.signal_axis[-1])
     width = bandwidth_nm_to_rad_fs(pm.width_nm, wavelength_from_omega(center_omega))
     sigma = width / _FWHM_GAUSS
-    v = grid.signal_axis[:, None] - grid.idler_axis[None, :]
-    return np.exp(-(v**2) / (4.0 * sigma**2))
+    return _gaussian_in_place(np.subtract.outer(grid.signal_axis, grid.idler_axis), sigma)
+
+
+def _gaussian_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-(x**2) / (4 sigma^2)) computed into x, the same bits: -(a)/b is a/(-b) in IEEE."""
+    np.square(x, out=x)
+    np.divide(x, -(4.0 * sigma**2), out=x)
+    return np.exp(x, out=x)
 
 
 def detection_filter_profile(filt: FilterSpec, axis: np.ndarray) -> np.ndarray:
@@ -168,10 +175,12 @@ def compose_input_state(
 
     All four factors are applied at the amplitude level, so the joint
     spectral intensity factorizes into their squared moduli.  The result is
-    real (float64) and non-negative.
+    real (float64) and non-negative.  It is built in the array it is returned
+    in, so composing holds one real grid array, two with gaussian phase matching.
     """
     amp = pump_envelope(pump, grid)  # in place, in the order of a*phi*gs*gi: the same bits
-    amp *= phase_matching_envelope(pm, grid)
+    if pm.kind != "flat":  # a flat envelope is all ones, and x * 1.0 is x
+        amp *= phase_matching_envelope(pm, grid)
     amp *= detection_filter_profile(signal_filter, grid.signal_axis)[:, None]
     amp *= detection_filter_profile(idler_filter, grid.idler_axis)[None, :]
     return BiphotonAmplitude(grid=grid, amplitude=amp)

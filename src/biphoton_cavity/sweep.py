@@ -163,42 +163,42 @@ class Crossing:
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Entropy of the dicke-transformed state at every point of the plan's table.
 
-    Each distinct input state is composed and measured once, and each point's
-    curve is sampled where it is used.  The empty-cavity reference is the base
-    cavity at zero coupling, the two-sided filter.  delta_vs_input is taken
-    against the point's own input state.  When the swept parameter changes the
-    input state, per-value input and empty-cavity reference rows are added.
+    Each distinct input state is composed and measured once, the base first,
+    and held only while its own points run, so one input state is held at a
+    time.  Each point's curve is sampled where it is used.  The empty-cavity
+    reference is the base cavity at zero coupling, the two-sided filter.
+    delta_vs_input is taken against the point's own input state.  When the
+    swept parameter changes the input state, per-value input and empty-cavity
+    reference rows are added.
     """
     base = plan.base_config
     grid = grid_from_config(base)
     empty_curve = transfer_for(base.cavity.model(coupling_ratio=0.0), grid.idler_axis)
-
-    def measure_input(config):
-        state = input_state_from_config(config, grid)
-        return state, entropy_of(state), entropy_of(apply_idler_transfer(state, empty_curve))
-
-    base_input = measure_input(base)
-    point_indices = {}
+    point_indices = {base: []}  # the base is measured first, with or without points
     for index, (_, _, config, _) in enumerate(plan.points):
         point_indices.setdefault(config, []).append(index)
     rows = [None] * len(plan.points)
-    reference_rows = []
+    references = {}  # pump bandwidth -> (input entropy, empty-cavity entropy)
     for config, indices in point_indices.items():
+        width = config.pump.bandwidth_nm
         try:  # a point's config differs from the base only in its swept pump bandwidth
-            state, s_in, s_empty = base_input if config == base else measure_input(config)
+            state = input_state_from_config(config, grid)
         except ValueError as exc:
-            width = config.pump.bandwidth_nm
+            if config is base:
+                raise
             raise ValueError(f"pump_bandwidth_nm value {width:g}: {exc}") from None
+        s_in, _ = references[width] = (
+            entropy_of(state), entropy_of(apply_idler_transfer(state, empty_curve)))
         for index in indices:
             series_value, value, _, model = plan.points[index]
             curve = transfer_for(model, grid.idler_axis)
             entropy = entropy_of(apply_idler_transfer(state, curve))
             rows[index] = SweepRow(series_value, value, entropy, entropy - s_in, curve.flags)
-        if plan.swept_parameter == "pump_bandwidth_nm":
-            reference_rows.append(ReferenceRow("input", config.pump.bandwidth_nm, s_in))
-            reference_rows.append(ReferenceRow("empty_cavity", config.pump.bandwidth_nm, s_empty))
-        del state  # no input state but the base one is held while the next is composed
-    return SweepResult(plan, tuple(rows), base_input[1], base_input[2], tuple(reference_rows))
+        del state  # the one input state held: it is freed before the next is composed
+    reference_rows = () if plan.swept_parameter != "pump_bandwidth_nm" else tuple(
+        ReferenceRow(kind, width, entropy) for width in plan.values
+        for kind, entropy in zip(("input", "empty_cavity"), references[width]))
+    return SweepResult(plan, tuple(rows), *references[base.pump.bandwidth_nm], reference_rows)
 
 
 def find_entropy_crossing(result: SweepResult, series_value: float) -> Crossing | None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ def entropy_oracle(state) -> float:
     p = p[p > 0.0]
     p = p[p > 1e-24 * p.max()]
     return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for a separable state
+
+
+def traced_peak(func):
+    """Peak memory func() allocates through Python's allocators, above where it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        func()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def make_input_state(points=96, span_nm=40.0, pump_nm=6.0, filter_nm=8.0,

@@ -31,7 +31,7 @@ from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.schmidt import entropy_of
 from test_cavity import GAMMA, W0, dicke
 from test_sweep import small_config
-from conftest import make_input_state, transmitted_state
+from conftest import make_input_state, traced_peak, transmitted_state
 
 
 class TestJsiRoundTrip:
@@ -604,18 +604,6 @@ class TestAtomicWrites:
         assert len(list(tmp_path.iterdir())) == 4
 
 
-def _traced_peak(func):
-    """Peak memory func() allocates through Python's allocators, above where it started."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        func()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreaming:
     """jsiv1 export and ingest hold a bounded number of lines, never the whole file."""
 
@@ -623,7 +611,7 @@ class TestStreaming:
     def reference_export(self, tmp_path_factory):
         state = make_input_state(points=512)
         path = tmp_path_factory.mktemp("streaming") / "jsi.csv"
-        return path, _traced_peak(lambda: dataio.write_lines(path, render_jsi(state)))
+        return path, traced_peak(lambda: dataio.write_lines(path, render_jsi(state)))
 
     def test_export_peak_below_quarter_of_file(self, reference_export):
         path, peak = reference_export
@@ -633,7 +621,7 @@ class TestStreaming:
         path, _ = reference_export
         table_bytes = 512 * 512 * 5 * 8  # rows x columns x float64
         # the lower bound shows that the traced allocations include numpy's
-        assert table_bytes < _traced_peak(lambda: ingest_measured_jsi(path)) < 2 * table_bytes
+        assert table_bytes < traced_peak(lambda: ingest_measured_jsi(path)) < 2 * table_bytes
 
     def test_the_state_holds_no_view_into_the_table(self, reference_export):
         """While the ingested state lives, the parsed table is gone: what ingest
@@ -956,7 +944,7 @@ class TestMeasuredEntropyMemory:
         amp = largest * (rng.uniform(-1, 1, (256, 256)) + 1j * rng.uniform(-1, 1, (256, 256)))
         weights = trapezoid_weights(axis)
         state = BiphotonAmplitude(FrequencyGrid(axis, axis, weights, weights), amp)
-        assert _traced_peak(lambda: entropy_of(state)) < 1.5 * amp.nbytes
+        assert traced_peak(lambda: entropy_of(state)) < 1.5 * amp.nbytes
 
 
 class TestMeasuredIntensityOnly:

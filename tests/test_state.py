@@ -13,6 +13,7 @@ from biphoton_cavity import (
     PumpSpec,
     TransferCurve,
     apply_idler_transfer,
+    bandwidth_nm_to_rad_fs,
     build_grid,
     compose_input_state,
     detection_filter_profile,
@@ -22,9 +23,11 @@ from biphoton_cavity import (
     phase_matching_envelope,
     pump_envelope,
     transfer_for,
+    wavelength_from_omega,
 )
+from biphoton_cavity.grid import trapezoid_weights
 from biphoton_cavity.pipeline import grid_from_config, input_state_from_config
-from conftest import entropy_oracle, make_input_state
+from conftest import entropy_oracle, make_input_state, traced_peak
 
 # half of bandwidth_nm_to_rad_fs(6, 342.5), oracle-computed
 HALF_PUMP_WIDTH_AT_PUMP = 0.04817266515574882
@@ -204,6 +207,74 @@ class TestComposeInputState:
         core = state.amplitude.real / np.outer(gs, gi)
         # (i+1, j-1) has the same omega_s + omega_i as (i, j) on a uniform grid
         np.testing.assert_allclose(core[1:, :-1], core[:-1, 1:], rtol=1e-10)
+
+
+def _expression_envelope(x, sigma):
+    """The envelope's expression form, the reference its in-place computation must match."""
+    return np.exp(-(x**2) / (4.0 * sigma**2))
+
+
+# A build_grid grid, whose axes ascend, and an ingested map's grid: its rows
+# run in wavelength order, so its axes descend, with trapezoid weights.
+_DESCENDING_AXIS = omega_from_wavelength(np.linspace(665.0, 705.0, 96))
+GRIDS = {
+    "ascending": build_grid(685.0, 40.0, 96),
+    "descending": FrequencyGrid(_DESCENDING_AXIS, _DESCENDING_AXIS,
+                                trapezoid_weights(_DESCENDING_AXIS),
+                                trapezoid_weights(_DESCENDING_AXIS)),
+}
+
+
+class TestEnvelopesInPlace:
+    """Envelopes computed in the array they return, to the bytes of their expression form."""
+
+    @pytest.mark.parametrize("axes", GRIDS)
+    @pytest.mark.parametrize("convention", ["at_pump", "at_degeneracy"])
+    @pytest.mark.parametrize("bandwidth_nm", [0.05, 0.5, 2.0, 6.0, 30.0])
+    def test_pump_envelope(self, axes, convention, bandwidth_nm):
+        grid = GRIDS[axes]
+        pump = PumpSpec(685.0, bandwidth_nm, bandwidth_convention=convention)
+        u = grid.signal_axis[:, None] + grid.idler_axis[None, :] - pump.sum_frequency
+        expected = _expression_envelope(u, pump.sigma)
+        assert pump_envelope(pump, grid).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("axes", GRIDS)
+    @pytest.mark.parametrize("width_nm", [0.5, 3.0, 12.0, 80.0])
+    def test_gaussian_phase_matching_envelope(self, axes, width_nm):
+        grid = GRIDS[axes]
+        center = 0.5 * (grid.signal_axis[0] + grid.signal_axis[-1])
+        sigma = (bandwidth_nm_to_rad_fs(width_nm, wavelength_from_omega(center))
+                 / (2.0 * np.sqrt(2.0 * np.log(2.0))))
+        v = grid.signal_axis[:, None] - grid.idler_axis[None, :]
+        expected = _expression_envelope(v, sigma)
+        pm = PhaseMatchingSpec("gaussian", width_nm)
+        assert phase_matching_envelope(pm, grid).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("axes", GRIDS)
+    @pytest.mark.parametrize("pm", [PhaseMatchingSpec("flat"), PhaseMatchingSpec("gaussian", 3.0)])
+    def test_compose_is_the_product_of_its_factors(self, axes, pm):
+        """The product a * phi * gs * gi in that order, the flat phi of ones included."""
+        grid = GRIDS[axes]
+        pump, signal, idler = PumpSpec(685.0, 2.0), FilterSpec(683.0, 6.0), FilterSpec(688.0, 10.0)
+        expected = (pump_envelope(pump, grid) * phase_matching_envelope(pm, grid)
+                    * detection_filter_profile(signal, grid.signal_axis)[:, None]
+                    * detection_filter_profile(idler, grid.idler_axis)[None, :])
+        state = compose_input_state(pump, pm, signal, idler, grid)
+        assert state.amplitude.tobytes() == expected.tobytes()
+
+
+class TestComposeMemory:
+    """Composing holds the state's own array, and one more with gaussian phase matching."""
+
+    @pytest.mark.parametrize("pm, arrays", [
+        (PhaseMatchingSpec("flat"), 1.25),
+        (PhaseMatchingSpec("gaussian", 3.0), 2.25),
+    ])
+    def test_peak_in_real_grid_arrays(self, pm, arrays):
+        grid = build_grid(685.0, 40.0, 512)
+        filt = FilterSpec(685.0, 8.0)
+        peak = traced_peak(lambda: compose_input_state(PumpSpec(685.0, 6.0), pm, filt, filt, grid))
+        assert peak <= arrays * 512 * 512 * 8
 
 
 class TestDtypeContract:

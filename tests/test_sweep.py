@@ -18,7 +18,7 @@ from biphoton_cavity import pipeline, sweep
 from biphoton_cavity.config import CavityConfig
 from biphoton_cavity.pipeline import input_state_from_config
 from biphoton_cavity.sweep import SweepResult, SweepRow
-from conftest import transmitted_state
+from conftest import traced_peak, transmitted_state
 
 SMALL = """
 grid.points = 96
@@ -258,6 +258,21 @@ class TestPumpBandwidthSweep:
         result = run_sweep(plan)
         inputs = [r.entropy for r in result.reference_rows if r.kind == "input"]
         assert all(b < a for a, b in zip(inputs, inputs[1:]))
+
+
+class TestSweepMemory:
+    """A sweep holds one input state: with a point's product and the SVD's copy of
+    it, one real and two complex grid arrays."""
+
+    @pytest.mark.parametrize("swept, values, series", [
+        ("pump_bandwidth_nm", (3.0, 6.0, 9.0), (1.0, 2.0)),  # 6 nm is the base bandwidth
+        ("pump_bandwidth_nm", (3.0, 9.0), (1.0, 2.0)),
+        ("coupling_ratio", (0.8, 1.2), (0.0, 2.0)),
+    ])
+    def test_peak_in_real_grid_arrays(self, swept, values, series):
+        config = parse_config_text("grid.points = 128\ncavity.kind = dicke\n")
+        plan = SweepPlan(config, swept, values, series_values=series)
+        assert traced_peak(lambda: run_sweep(plan)) <= 5.25 * 128 * 128 * 8
 
 
 class TestSweepTable:
