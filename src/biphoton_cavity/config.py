@@ -190,7 +190,7 @@ def load_config(path) -> SimConfig:
 
 def apply_overrides(config: SimConfig, overrides: list[str], where: str = "override") -> SimConfig:
     """Apply repeatable KEY=VALUE overrides limited to the cavity section, checked as
-    the parser checks it; an overridden key is no longer listed as defaulted."""
+    the parser checks it, a repeated key included; an overridden key is not defaulted."""
     updates: dict[str, object] = {}
     for item in overrides:
         if "=" not in item:
@@ -199,6 +199,8 @@ def apply_overrides(config: SimConfig, overrides: list[str], where: str = "overr
         key = f"cavity.{short.strip()}" if not short.strip().startswith("cavity.") else short.strip()
         if key not in _SCHEMA or _SCHEMA[key][0] != "cavity":
             raise ConfigError(f"{where}: unknown cavity key {short.strip()!r}")
+        if key in updates:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         updates[key] = _parse_value(key, raw.strip(), _SCHEMA[key][2], where)
     return with_values(config, updates, where)
 

@@ -106,6 +106,10 @@ def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> Ite
     signal_nm = format_block(wavelength_from_omega(state.grid.signal_axis))
     idler_nm = format_block(wavelength_from_omega(state.grid.idler_axis))
     amplitude, n_idler = state.amplitude.ravel(), state.grid.n_idler
+    # glibc maps a block's buffers (~330 kB in csv_text) anew per block, as they pass its
+    # 128 KiB mmap threshold, unless a mapped chunk that large was freed: that raises the
+    # threshold.  So free one untouched array of a block's working set, whatever the caller freed.
+    np.empty(_BLOCK_CELLS << 10, dtype=np.uint8)
     for start in range(0, amplitude.size, _BLOCK_CELLS):
         block = amplitude[start : start + _BLOCK_CELLS]
         row, col = np.divmod(np.arange(start, start + block.size), n_idler)

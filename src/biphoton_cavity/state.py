@@ -164,6 +164,24 @@ def detection_filter_profile(filt: FilterSpec, axis: np.ndarray) -> np.ndarray:
     return np.exp(-((np.asarray(axis, dtype=float) - center) ** 2) / sigma**2)
 
 
+class ZeroStateError(ValueError):
+    """An input state zero on every grid point: `factor` names the factor that
+    vanishes on the whole grid, or is None when the factors do not overlap."""
+
+    def __init__(self, factor: str | None):
+        self.factor = factor
+        super().__init__("input state is zero on every grid point: " + (
+            f"the {factor} vanishes on the whole grid" if factor else
+            "its pump, phase-matching and filter factors do not overlap on the grid"))
+
+
+def _nonzero(values: np.ndarray, factor: str | None) -> np.ndarray:
+    """`values`, unless its largest |F|^2 underflows: all are non-negative, and NaN vanishes."""
+    if float(np.max(values)) ** 2 > 0.0:
+        return values
+    raise ZeroStateError(factor)
+
+
 def compose_input_state(
     pump: PumpSpec,
     pm: PhaseMatchingSpec,
@@ -177,13 +195,18 @@ def compose_input_state(
     spectral intensity factorizes into their squared moduli.  The result is
     real (float64) and non-negative.  It is built in the array it is returned
     in, so composing holds one real grid array, two with gaussian phase matching.
+    Each factor, then their product, raises ZeroStateError if it vanishes.
     """
-    amp = pump_envelope(pump, grid)  # in place, in the order of a*phi*gs*gi: the same bits
-    if pm.kind != "flat":  # a flat envelope is all ones, and x * 1.0 is x
-        amp *= phase_matching_envelope(pm, grid)
-    amp *= detection_filter_profile(signal_filter, grid.signal_axis)[:, None]
-    amp *= detection_filter_profile(idler_filter, grid.idler_axis)[None, :]
-    return BiphotonAmplitude(grid=grid, amplitude=amp)
+    # A width whose square underflows divides by 0 or overflows: its factor is NaN or 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        amp = _nonzero(pump_envelope(pump, grid), "pump envelope")  # a*phi*gs*gi in place: same bits
+        if pm.kind != "flat":  # a flat envelope is all ones, and x * 1.0 is x
+            amp *= _nonzero(phase_matching_envelope(pm, grid), "phase-matching envelope")
+        amp *= _nonzero(detection_filter_profile(signal_filter, grid.signal_axis),
+                        "signal filter")[:, None]
+        amp *= _nonzero(detection_filter_profile(idler_filter, grid.idler_axis),
+                        "idler filter")[None, :]
+    return BiphotonAmplitude(grid=grid, amplitude=_nonzero(amp, None))
 
 
 def apply_idler_transfer(state: BiphotonAmplitude, curve: TransferCurve) -> BiphotonAmplitude:

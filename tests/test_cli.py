@@ -152,6 +152,17 @@ class TestOverrides:
         assert main(["transmit", "--config", config_path, "--cavity-override", "q=1"]) == 1
         assert "unknown cavity key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, again", [("coupling_ratio=1", "coupling_ratio=2"),
+                                              ("coupling_ratio=1", "cavity.coupling_ratio=1")])
+    def test_repeated_override_key_exits_1(self, config_path, tmp_path, capsys, first, again):
+        # as the config file refuses a repeated key, rather than keep the last value
+        out_file = tmp_path / "t.csv"
+        assert main(["transmit", "--config", config_path, "--out", str(out_file),
+                     "--cavity-override", first, "--cavity-override", again]) == 1
+        assert capsys.readouterr().err == (
+            "error: --cavity-override: duplicate key 'cavity.coupling_ratio'\n")
+        assert not out_file.exists()
+
 
 class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):

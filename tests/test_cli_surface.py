@@ -6,7 +6,8 @@ such line; a jsiv1 file with one defect ends in exit 0, or in exit 1 with one
 stderr line that names the file; `state`, `entropy`, `ingest` and
 `transmit` accept or refuse a cavity value alike, with the same line; and a
 pump or coupling value set in the file, by an override or as a sweep value is
-refused with the same `<section keys>: <reason>` after its `<where>: `.
+refused with the same `<section keys>: <reason>` after its `<where>: `, and a
+pump whose input state vanishes with the same zero-state line.
 
 Each example runs `cli.main` in process on a small dicke config, with every
 warning turned into an error, so a numpy floating-point warning or an escaped
@@ -228,6 +229,22 @@ def test_a_set_value_is_refused_with_one_tail_on_every_route(workdir, setting):
         tails.add(lines[0].removeprefix(prefix))
     keys = section_keys(_SCHEMA[setting.partition(" ")[0]][0])
     assert len(tails) == 1 and tails.pop().startswith(f"{keys}: "), tails
+
+
+def test_a_vanishing_pump_is_refused_with_one_tail_from_the_file_and_a_sweep(workdir):
+    # the pump section accepts 1e-200 nm; the input state it composes is zero
+    vanishing, base = workdir / "vanishing.cfg", workdir / "base.cfg"
+    vanishing.write_text(f"{BASE_CFG}pump.bandwidth_nm = 1e-200\n")
+    base.write_text(BASE_CFG)
+    tails = set()
+    for argv, prefix in ((["state", "--config", str(vanishing)], "error: "),
+                         (["sweep-pump", "--values=1e-200", "--series=1", "--config", str(base)],
+                          "error: pump_bandwidth_nm value 1e-200: ")):
+        code, lines = run_main([*argv, "--out", str(workdir / "out")])
+        assert code == 1 and len(lines) == 1 and lines[0].startswith(prefix), lines
+        tails.add(lines[0].removeprefix(prefix))
+    assert len(tails) == 1, tails
+    assert tails.pop().startswith("input state is zero on every grid point: the pump envelope ")
 
 
 @pytest.mark.parametrize("setting", ["coupling_ratio = -1", "emitter_damping_ratio = -1",

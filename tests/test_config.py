@@ -213,6 +213,15 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="KEY=VALUE"):
             apply_overrides(config, ["kind"])
 
+    @pytest.mark.parametrize("overrides, key", [
+        (["coupling_ratio=1", "coupling_ratio=2"], "cavity.coupling_ratio"),
+        (["kind=dicke", "cavity.kind=one_sided"], "cavity.kind"),
+    ])
+    def test_repeated_override_key_rejected(self, overrides, key):
+        with pytest.raises(ConfigError) as refused:
+            apply_overrides(parse_config_text(REFERENCE_TEXT), overrides, where="--cavity-override")
+        assert str(refused.value) == f"--cavity-override: duplicate key {key!r}"
+
     def test_non_cavity_override_rejected(self):
         config = parse_config_text(REFERENCE_TEXT)
         with pytest.raises(ConfigError):

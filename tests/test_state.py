@@ -25,8 +25,10 @@ from biphoton_cavity import (
     transfer_for,
     wavelength_from_omega,
 )
+from biphoton_cavity.config import ConfigError
 from biphoton_cavity.grid import trapezoid_weights
 from biphoton_cavity.pipeline import grid_from_config, input_state_from_config
+from biphoton_cavity.state import ZeroStateError
 from conftest import entropy_oracle, make_input_state, traced_peak
 
 # half of bandwidth_nm_to_rad_fs(6, 342.5), oracle-computed
@@ -207,6 +209,54 @@ class TestComposeInputState:
         core = state.amplitude.real / np.outer(gs, gi)
         # (i+1, j-1) has the same omega_s + omega_i as (i, j) on a uniform grid
         np.testing.assert_allclose(core[1:, :-1], core[:-1, 1:], rtol=1e-10)
+
+
+# The filters and pump of tests/test_cli.py's config whose factors do not overlap.
+NON_OVERLAPPING = ("filters.signal.center_nm = 668\nfilters.signal.fwhm_nm = 0.5\n"
+                   "filters.idler.center_nm = 668\nfilters.idler.fwhm_nm = 0.5\n"
+                   "pump.bandwidth_nm = 0.5")
+
+
+class TestZeroState:
+    """compose_input_state refuses a state whose |F|^2 underflows on every grid point,
+    naming the factor that vanishes on the whole grid, or None when none does."""
+
+    @staticmethod
+    def _compose(setting):
+        config = parse_config_text(f"grid.points = 64\n{setting}\n")
+        return compose_input_state(config.pump, config.phase_matching, config.signal_filter,
+                                   config.idler_filter, grid_from_config(config))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("setting, factor", [
+        ("pump.center_down_nm = 900", "pump envelope"),
+        ("pump.bandwidth_nm = 1e-200", "pump envelope"),  # its width squared underflows to 0
+        ("phase_matching.kind = gaussian\nphase_matching.width_nm = 1e-200",
+         "phase-matching envelope"),
+        ("filters.signal.center_nm = 900", "signal filter"),
+        ("filters.idler.center_nm = 500", "idler filter"),
+        (NON_OVERLAPPING, None),
+    ])
+    def test_vanishing_factor_is_named(self, setting, factor):
+        with pytest.raises(ZeroStateError) as refused:
+            self._compose(setting)
+        assert refused.value.factor == factor
+        assert isinstance(refused.value, ValueError)
+        assert str(refused.value).startswith("input state is zero on every grid point: ")
+
+    @pytest.mark.parametrize("setting, message", [
+        ("filters.signal.center_nm = 900",
+         "the signal filter vanishes on the whole grid; "
+         "check filters.signal.center_nm and filters.signal.fwhm_nm"),
+        (NON_OVERLAPPING,
+         "its pump, phase-matching and filter factors do not overlap on the grid; "
+         "check pump.bandwidth_nm and the filters.* keys"),
+    ])
+    def test_config_route_names_the_keys(self, setting, message):
+        with pytest.raises(ConfigError) as refused:
+            input_state_from_config(parse_config_text(f"grid.points = 64\n{setting}\n"))
+        assert str(refused.value) == (f"input state is zero on every grid point: {message} "
+                                      "against grid.center_nm, grid.span_nm and grid.points")
 
 
 def _expression_envelope(x, sigma):
