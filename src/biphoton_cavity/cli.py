@@ -18,7 +18,7 @@ from .config import ConfigError, apply_overrides, load_config
 from .pipeline import grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
-from .sweep import MAX_SWEEP_POINTS, SWEEPS, SweepPlan, run_sweep
+from .sweep import MAX_SWEEP_POINTS, SweepPlan, run_sweep
 
 OUT_DIR_ENV = "BIPHOTON_CAVITY_OUT_DIR"
 
@@ -104,10 +104,9 @@ def _cmd_entropy(args, config):
 
 
 def _cmd_sweep(args, config):
-    spec = SWEEPS[args.swept_parameter]
-    values = spec.default_values if args.values is None else _parse_values(args.values, "--values")
-    series = spec.default_series if args.series is None else _parse_values(args.series, "--series")
-    plan = SweepPlan(config, args.swept_parameter, values, series_values=series)
+    # --series first: a refused one must not wait on a default --values range
+    series = () if args.series is None else _parse_values(args.series, "--series")
+    plan = SweepPlan(config, args.swept_parameter, _parse_values(args.values, "--values"), series)
 
     def pieces():  # a generator: no point runs before _emit has checked --out
         yield from dataio.render_sweep(run_sweep(plan))
@@ -155,15 +154,21 @@ def build_parser() -> _Parser:
     entropy.add_argument("--in", dest="source", default=None, metavar="FILE",
                          help="compute from an exported/measured JSI file instead")
     entropy.add_argument("--bits", action="store_true", help="print entropy in bits instead of nats")
-    for name, swept, help_text in (
-        ("sweep-coupling", "coupling_ratio", "entropy vs coupling strength per detuning"),
-        ("sweep-pump", "pump_bandwidth_nm", "entropy vs pump bandwidth per coupling"),
-        ("sweep-detuning", "cavity_detuning_nm", "entropy vs cavity detuning"),
+    # Bracketing defaults: the resolved-polariton boundary sits at coupling ratio 0.5, and the
+    # couplings of interest for the bandwidth comparison cluster between 0.75 and 2.
+    for name, swept, help_text, values, series in (
+        ("sweep-coupling", "coupling_ratio", "entropy vs coupling strength per detuning",
+         "0.5:3:0.05", "-4,-2,0,2,4"),
+        ("sweep-pump", "pump_bandwidth_nm", "entropy vs pump bandwidth per coupling",
+         "0.5:10:0.25", "0.75,1,1.35,2"),
+        ("sweep-detuning", "cavity_detuning_nm", "entropy vs cavity detuning", "-4,-2,0,2,4", None),
     ):
         p = add(name, _cmd_sweep, help_text)
         p.set_defaults(swept_parameter=swept)
-        p.add_argument("--values", default=None, help="sweep values: start:stop:step or v1,v2,...")
-        p.add_argument("--series", default=None, help="series values: v1,v2,...")
+        p.add_argument("--values", default=values, help="sweep values: start:stop:step or "
+                       "v1,v2,... (default: %(default)s)")
+        p.add_argument("--series", default=series, help="series values: v1,v2,... (default: "
+                       f"{series or 'one series at the configured value'})")
     ingest = add("ingest", _cmd_ingest, "validate a measured JSI file and report its entropy")
     ingest.add_argument("--in", dest="source", required=True, metavar="FILE",
                         help="measured JSI file to ingest")

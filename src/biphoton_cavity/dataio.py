@@ -156,11 +156,14 @@ def render_sweep(result: SweepResult) -> list[str]:
     return pieces
 
 
-def _skip_line(line: str, columns: list[str]) -> bool:
-    """Whether a stripped line is blank or a comment; `# columns:` sets `columns`."""
+def _skip_line(line: str, columns: list[str], path, number: int) -> bool:
+    """Whether a stripped line is blank or a comment; `# columns:` sets `columns`,
+    and raises _Refused at `path`:`number` once they are set."""
     if line.startswith("#"):
         body = line.lstrip("#").strip()
         if body.startswith("columns:"):
+            if columns:
+                raise _Refused(f"{path}:{number}: duplicate '# columns:' header")
             columns[:] = [c.strip() for c in body[len("columns:"):].split(",")]
         return True
     return not line
@@ -173,9 +176,9 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
     goes line by line: it loses the lines `_skip_line` drops (setting
     `columns`) and numbers the others in an index array; any other read is
     numbered by a range.  A byte that is not UTF-8 (found by one search of the
-    read but its unfinished last line), a line longer than `_MAX_LINE_CHARS`
-    and the data line past `_MAX_ROWS` raise _Refused naming their line.  A
-    byte-order mark that opens the file is dropped."""
+    read but its unfinished last line), a line longer than `_MAX_LINE_CHARS`,
+    a second `# columns:` header and the data line past `_MAX_ROWS` raise
+    _Refused naming their line.  A byte-order mark that opens the file is dropped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         tail, first, more, rows = "", 1, True, 0
         while more:
@@ -193,7 +196,8 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
                 if not text.isascii() and (bad := _NOT_UTF8.search(text, 0, len(text) - len(tail))):
                     number = numbers.start + text.count("\n", 0, bad.start())
                     raise _Refused(f"{path}:{number}: not UTF-8 text")
-                keep = [not _skip_line(line.strip(), columns) for line in lines]
+                keep = [not _skip_line(line.strip(), columns, path, number)
+                        for line, number in zip(lines, numbers)]
                 lines = list(compress(lines, keep))
                 numbers = numbers.start + np.flatnonzero(keep)
             if lines:  # an empty range would make the concatenated numbers float
@@ -238,6 +242,7 @@ def _read_table(path):
         # float() parses once every line is read: a line that is not UTF-8 is
         # reported before any bad cell.
         spans.clear()
+        columns.clear()
         lines = list(chain.from_iterable(_data_chunks(path, columns, spans)))
         rows = _parse_rows(path, lines, np.concatenate(spans))
     if data is None and not rows:

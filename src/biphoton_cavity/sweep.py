@@ -8,42 +8,17 @@ Sweep points are independent pure computations; rows come out sorted by
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cavity import CavityModel, transfer_for
 from .config import SimConfig, section_keys, with_values
 from .pipeline import grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
 
-# Bracketing defaults: the resolved-polariton boundary sits at coupling
-# ratio 0.5, and the couplings of interest for the bandwidth comparison
-# cluster between 0.75 and 2.
-DEFAULT_COUPLING_VALUES = tuple(np.round(np.arange(0.5, 3.0 + 1e-9, 0.05), 10))
-DEFAULT_DETUNING_SERIES = (-4.0, -2.0, 0.0, 2.0, 4.0)
-DEFAULT_BANDWIDTH_VALUES = tuple(np.round(np.arange(0.5, 10.0 + 1e-9, 0.25), 10))
-DEFAULT_COUPLING_SERIES = (0.75, 1.0, 1.35, 2.0)
 # Most points a sweep's table, or one --values or --series range, may hold.
 MAX_SWEEP_POINTS = 10_000
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """The series parameter a swept parameter implies, and the CLI defaults;
-    an empty default_series means one series at the base value of series_parameter."""
-
-    series_parameter: str
-    default_values: tuple[float, ...]
-    default_series: tuple[float, ...]
-
-
-SWEEPS = {
-    "coupling_ratio": SweepSpec("cavity_detuning_nm", DEFAULT_COUPLING_VALUES,
-                                DEFAULT_DETUNING_SERIES),
-    "cavity_detuning_nm": SweepSpec("coupling_ratio", DEFAULT_DETUNING_SERIES, ()),
-    "pump_bandwidth_nm": SweepSpec("coupling_ratio", DEFAULT_BANDWIDTH_VALUES,
-                                   DEFAULT_COUPLING_SERIES),
-}
+# The series parameter each swept parameter implies.
+SWEEPS = {"coupling_ratio": "cavity_detuning_nm", "cavity_detuning_nm": "coupling_ratio",
+          "pump_bandwidth_nm": "coupling_ratio"}
 
 
 @dataclass(frozen=True)
@@ -83,7 +58,7 @@ class SweepPlan:
                 raise ValueError(f"{swept} value {b:g}: sweep values must be strictly increasing")
         if swept == "coupling_ratio" and values[0] <= 0.0:
             raise ValueError(f"coupling_ratio value {values[0]:g}: must be positive")
-        series, seen = SWEEPS[swept].series_parameter, set()
+        series, seen = SWEEPS[swept], set()
         series_values = tuple(float(v) for v in self.series_values)
         for series_value in series_values:
             if series_value in seen:
@@ -118,7 +93,7 @@ class SweepPlan:
     @property
     def series_parameter(self) -> str | None:
         """The parameter the series values set; None without series values."""
-        return SWEEPS[self.swept_parameter].series_parameter if self.series_values else None
+        return SWEEPS[self.swept_parameter] if self.series_values else None
 
 
 @dataclass(frozen=True)

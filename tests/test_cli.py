@@ -656,6 +656,41 @@ class TestSweepCommands:
         values = _parse_values(f"1:{MAX_SWEEP_POINTS}:1", "--values")
         assert len(values) == MAX_SWEEP_POINTS and values[-1] == MAX_SWEEP_POINTS
 
+    SPECS = {"sweep-coupling": ("--values=0.5:3:0.05", "--series=-4,-2,0,2,4"),
+             "sweep-pump": ("--values=0.5:10:0.25", "--series=0.75,1,1.35,2"),
+             "sweep-detuning": ("--values=-4,-2,0,2,4",)}
+
+    @pytest.mark.parametrize("command", SPECS)
+    def test_defaults_are_the_specs_typed_out(self, tmp_path, command):
+        cfg = tmp_path / "dicke.cfg"
+        cfg.write_text("grid.points = 32\ncavity.kind = dicke\n")
+        outputs = []
+        for flags in ((), self.SPECS[command]):
+            outputs.append(tmp_path / f"sweep{len(outputs)}.csv")
+            assert main([command, "--config", str(cfg), "--out", str(outputs[-1]), *flags]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    @pytest.mark.parametrize("command", SPECS)
+    def test_help_names_the_defaults(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+        for spec in self.SPECS[command]:
+            assert f"(default: {spec.partition('=')[2]})" in out
+        if command == "sweep-detuning":
+            assert "(default: one series at the configured value)" in out
+
+    def test_default_ranges_are_the_benchmark_lists(self):
+        """Float for float, the lists the benchmark's seed-0 sweeps are checked against."""
+        from biphoton_cavity.cli import _parse_values, build_parser
+
+        for command, step, count in (("sweep-coupling", 0.05, 51), ("sweep-pump", 0.25, 39)):
+            args = build_parser().parse_args([command, "--config", "unused.cfg"])
+            expected = [round(0.5 + step * k, 10) for k in range(count)]
+            assert [v.hex() for v in _parse_values(args.values, "--values")] == [
+                v.hex() for v in expected]
+
 
 class TestIngestCommand:
     def test_ingest_reports_entropy_and_flag(self, config_path, tmp_path, capsys):

@@ -125,7 +125,7 @@ def flag_cases(draw):
     else:
         flag = draw(st.sampled_from(("--values", "--series")))
         swept = SWEEP_COMMANDS[command]
-        parameter = swept if flag == "--values" else SWEEPS[swept].series_parameter
+        parameter = swept if flag == "--values" else SWEEPS[swept]
         if kind == "hostile sweep flag":
             flags[flag] = draw(st.sampled_from(HOSTILE_VALUES + HUGE_RANGES))
             named = [flag, f"{parameter} value "]
@@ -262,7 +262,7 @@ JSI_COLUMNS = ("signal_nm", "idler_nm", "re", "im", "intensity")
 SIGNAL_NM, IDLER_NM = (690.0, 685.0, 680.0), (695.0, 688.0, 684.0, 679.0)
 DEFECTS = ("truncated row", "ragged row", "missing row", "swapped columns", "repeated column",
            "missing column", "non-finite cell", "not UTF-8", "axis at a float limit",
-           "all-zero amplitude")
+           "all-zero amplitude", "second columns header")
 
 
 @st.composite
@@ -302,6 +302,8 @@ def defective_jsi(draw):
             st.sampled_from(("nan", "inf", "-inf", "NaN")))
     lines = [b"# format: jsiv1", f"# columns: {','.join(columns)}".encode()]
     lines += [",".join(cells).encode() for cells in rows]
+    if defect == "second columns header":  # anywhere after the first
+        lines.insert(draw(st.integers(2, len(lines))), lines[1])
     if defect == "not UTF-8":
         at = draw(st.integers(0, len(lines) - 1))
         cut = draw(st.integers(0, len(lines[at])))

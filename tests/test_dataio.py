@@ -366,10 +366,14 @@ class TestIngestParserEquivalence:
          ":4: expected 3 columns, got 4"),
         ("repeated column", b"# columns: signal_nm,idler_nm,intensity,intensity\n700,700,1,5\n"
          b"700,690,2,6\n690,700,3,7\n690,690,4,8\n", ": column 'intensity' named twice"),
+        ("second columns header", b"700,700,1\n# columns: signal_nm,idler_nm,intensity\n"
+         b"700,690,2\n# columns: signal_nm,idler_nm,intensity\n690,700,3\n690,690,4\n",
+         ":5: duplicate '# columns:' header"),
     ])
     def test_fast_path_agrees_with_fallback(self, tmp_path, monkeypatch, case, body, expected):
         path = tmp_path / "edge.csv"
-        path.write_bytes(b"# format: jsiv1\n# columns: signal_nm,idler_nm,intensity\n" + body)
+        columns = b"" if b"# columns:" in body else b"# columns: signal_nm,idler_nm,intensity\n"
+        path.write_bytes(b"# format: jsiv1\n" + columns + body)
         fast, slow = _both_paths(path, monkeypatch)
         assert fast == slow
         if isinstance(expected, str):
@@ -390,7 +394,8 @@ class TestIngestParserEquivalence:
                                                            body, expected):
         monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
         path = tmp_path / "edge.csv"
-        path.write_bytes(b"# format: jsiv1\n# columns: signal_nm,idler_nm,intensity\n" + body)
+        columns = b"" if b"# columns:" in body else b"# columns: signal_nm,idler_nm,intensity\n"
+        path.write_bytes(b"# format: jsiv1\n" + columns + body)
         outcome = _ingest_outcome(path)
         if isinstance(expected, str):
             assert outcome == f"{path}{expected}"
@@ -402,7 +407,7 @@ class TestIngestParserEquivalence:
         monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
         monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
         path = tmp_path / "split.csv"
-        path.write_bytes(b"# columns: signal_nm,idler_nm,intensity\n700,700,1\n\n700,690,2\n"
+        path.write_bytes(b"# format: jsiv1\n700,700,1\n\n700,690,2\n"
                          b"  # note\n690,700,3\n \t\n# columns: signal_nm,idler_nm,intensity\n"
                          b"690,690,4\n#")
         assert _ingest_outcome(path)["intensity"] == np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
@@ -881,6 +886,41 @@ class TestRowBound:
         path = tmp_path / "grid.csv"
         path.write_bytes(b"700,700,1\n700,690,2\n690,700,\xe93\n690,690,4\n")
         assert self._outcome(path, monkeypatch, 4) == (f"{path}:3: not UTF-8 text", 1)
+
+
+class TestColumnsHeader:
+    """A file names its columns once.  A second `# columns:` header would relabel
+    every row, those read before it too, so it is refused in the read that finds it."""
+
+    @pytest.mark.parametrize("read_chars", [1, 4, 11, 64, 1 << 16])
+    def test_a_trailing_header_is_refused_in_one_read(self, tmp_path, monkeypatch, read_chars):
+        path = tmp_path / "state.csv"
+        dataio.write_lines(path, render_jsi(make_input_state(points=16)))
+        header_line = path.read_bytes().count(b"\n") + 1
+        with open(path, "a") as handle:
+            handle.write("# columns: signal_nm,idler_nm,intensity,im,re\n")
+        passes = []
+        data_chunks = dataio._data_chunks
+        monkeypatch.setattr(dataio, "_data_chunks", lambda *a: passes.append(a) or data_chunks(*a))
+        monkeypatch.setattr(dataio, "_parse_rows", _refuse_parse_rows)
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        assert (_ingest_outcome(path), len(passes)) == (
+            f"{path}:{header_line}: duplicate '# columns:' header", 1)
+
+    def test_the_commands_exit_1_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "grid16.cfg"
+        cfg.write_text("grid.points = 16\n")
+        path = tmp_path / "state.csv"
+        assert main(["state", "--config", str(cfg), "--out", str(path)]) == 0
+        with open(path, "a") as handle:
+            handle.write("# columns: signal_nm,idler_nm,intensity,im,re\n")
+        header_line = path.read_bytes().count(b"\n")
+        capsys.readouterr()
+        for command in ("ingest", "entropy"):
+            assert main([command, "--config", str(cfg), "--in", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path}:{header_line}: duplicate '# columns:' header\n"
 
 
 class TestLineBound:

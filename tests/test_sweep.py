@@ -71,7 +71,7 @@ class TestPlanValidation:
         ("cavity_detuning_nm", (2.0, 1.0, 2.0), "2"),
     ])
     def test_repeated_series_value_is_named(self, swept, series, repeated):
-        parameter = sweep.SWEEPS[swept].series_parameter
+        parameter = sweep.SWEEPS[swept]
         with pytest.raises(ValueError, match=rf"^{parameter} value {repeated}: repeated in the "
                                              r"series$"):
             SweepPlan(small_config(), swept, (1.0,), series_values=series)
@@ -137,7 +137,7 @@ class TestPointTable:
     def test_points_match_their_named_values(self, swept, values, series):
         base = small_config(coupling_ratio=1.3, center_nm=686.0)
         plan = SweepPlan(base, swept, values, series_values=series)
-        series_parameter = sweep.SWEEPS[swept].series_parameter
+        series_parameter = sweep.SWEEPS[swept]
         at_base = {"coupling_ratio": 1.3, "cavity_detuning_nm": 0.0,
                    "pump_bandwidth_nm": base.pump.bandwidth_nm}
         assert [point[:2] for point in plan.points] == [
