@@ -56,8 +56,6 @@ class SweepPlan:
         for a, b in zip(values, values[1:]):
             if b <= a:
                 raise ValueError(f"{swept} value {b:g}: sweep values must be strictly increasing")
-        if swept == "coupling_ratio" and values[0] <= 0.0:
-            raise ValueError(f"coupling_ratio value {values[0]:g}: must be positive")
         series, seen = SWEEPS[swept], set()
         series_values = tuple(float(v) for v in self.series_values)
         for series_value in series_values:

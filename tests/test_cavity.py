@@ -186,6 +186,15 @@ class TestTransmissionBound:
                 curve = transfer_for(model, axis)
                 assert np.all(curve.transmission <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("axis, values", [
+        (np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2])),
+        (np.array([[1.0, 2.0]]), np.array([[0.1, 0.2]])),
+        (np.array(1.0), np.array(0.1)),
+    ], ids=["lengths differ", "2-d", "0-d"])
+    def test_transfer_curve_rejects_mismatched_arrays(self, axis, values):
+        with pytest.raises(ValueError, match=r"^axis and values must be matching 1-d arrays$"):
+            TransferCurve(axis=axis, values=values)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_transfer_curve_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="transfer values must be finite"):

@@ -74,6 +74,13 @@ class TestEntropyCommand:
             out = capsys.readouterr().out
             assert line is None or out.splitlines()[-1] == line
 
+    def test_intensity_only_file_prints_its_flag(self, config_path, tmp_path, capsys):
+        measured = tmp_path / "m.csv"
+        measured.write_text("700,700,1\n700,690,0.5\n690,700,0.5\n690,690,1\n")
+        assert main(["entropy", "--config", config_path, "--in", str(measured)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:-1] == [f"# source: {measured}", "# flags: intensity-only lower-fidelity"]
+
 
 class TestTransmitEntropyPipeline:
     def test_transformed_entropy_from_file(self, config_path, tmp_path, capsys):
@@ -543,17 +550,19 @@ class TestSweepCommands:
         assert err.count("\n") == 1 and err.startswith("error: pump_bandwidth_nm value 1e-300: ")
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("values, first", [
-        ("--values=0", "0"), ("--values=-1,1", "-1"), ("--values=0:1:0.5", "0"),
+    @pytest.mark.parametrize("values, zero", [
+        ("--values=0,1", "0"), ("--values=-0,1", "-0"), ("--values=0:1:0.5", "0"),
     ])
-    def test_nonpositive_coupling_names_the_value(self, tmp_path, capsys, values, first):
+    def test_zero_coupling_row_reads_the_empty_cavity_reference(self, tmp_path, values, zero):
         cfg = tmp_path / "dicke.cfg"
         cfg.write_text("grid.points = 16\ncavity.kind = dicke\n")
         out_file = tmp_path / "coupling.csv"
         assert main(["sweep-coupling", "--config", str(cfg), "--out", str(out_file),
-                     values, "--series=0"]) == 1
-        assert capsys.readouterr().err == f"error: coupling_ratio value {first}: must be positive\n"
-        assert not out_file.exists()
+                     values, "--series=0"]) == 0
+        lines = out_file.read_text().splitlines()
+        empty = next(l for l in lines if l.startswith("# reference.empty_cavity_entropy_nats: "))
+        row = [l for l in lines if not l.startswith("#")][0].split(",")
+        assert row[3] == zero and row[4] == empty.rpartition(" ")[2] and row[6] == "weak_coupling"
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep-coupling", "--values=1", "--series=0,0"],
@@ -650,6 +659,14 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
 
+    @pytest.mark.parametrize("flag, spec", [
+        ("--values", "3:1:0.5"), ("--values", "1:3:0"), ("--values", "1:3:-0.5"),
+        ("--series", "3:1:1"),
+    ])
+    def test_backward_or_stalled_range_is_a_bad_range(self, config_path, capsys, flag, spec):
+        assert main(["sweep-coupling", "--config", config_path, f"{flag}={spec}"]) == 1
+        assert capsys.readouterr().err == f"error: {flag}: bad range {spec!r}\n"
+
     def test_range_at_the_point_limit_is_accepted(self):
         from biphoton_cavity.cli import MAX_SWEEP_POINTS, _parse_values
 
@@ -727,6 +744,16 @@ class TestIngestCommand:
             assert main(["ingest", "--config", config_path, "--in", str(bad)]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{bad}{where}" in err
+
+    @pytest.mark.parametrize("data", [b"", b"# format: jsiv1\n# columns: signal_nm,idler_nm,"
+                                      b"re,im,intensity\n"], ids=["empty", "header only"])
+    @pytest.mark.parametrize("command", ["ingest", "entropy"])
+    def test_a_file_without_data_rows_is_one_line(self, config_path, tmp_path, capsys, command,
+                                                  data):
+        measured = tmp_path / "m.csv"
+        measured.write_bytes(data)
+        assert main([command, "--config", config_path, "--in", str(measured)]) == 1
+        assert capsys.readouterr().err == f"error: {measured}: no data rows\n"
 
     @pytest.mark.parametrize("command", ["ingest", "entropy"])
     def test_a_map_past_the_row_bound_is_one_line(self, config_path, tmp_path, capsys,

@@ -211,7 +211,9 @@ SET_VALUE_ROUTES = {
         (["state", "--config", CONFIG], CONFIG),
         (["state", "--cavity-override", "coupling_ratio=-1", "--config", BASE],
          "--cavity-override"),
-        (["sweep-pump", "--values=1", "--series=-1", "--config", BASE], "coupling_ratio value -1")),
+        (["sweep-pump", "--values=1", "--series=-1", "--config", BASE], "coupling_ratio value -1"),
+        (["sweep-coupling", "--values=-1", "--series=0", "--config", BASE],
+         "coupling_ratio value -1, cavity_detuning_nm value 0")),
 }
 
 

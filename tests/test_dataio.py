@@ -590,6 +590,23 @@ class TestAtomicWrites:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["out.csv"]
 
+    @pytest.mark.parametrize("existing", [None, "old\n"], ids=["new", "replacing"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_failed_export_leaves_nothing_behind(self, tmp_path, error, existing):
+        def pieces():
+            yield "x\n"
+            made.extend(tmp_path.glob("out.csv.*.tmp"))
+            raise error("export failed")
+
+        made, target = [], tmp_path / "out.csv"
+        if existing is not None:
+            target.write_text(existing)
+        with pytest.raises(error, match="^export failed$"):
+            dataio.write_lines(target, pieces())
+        assert len(made) == 1 and list(tmp_path.glob("out.csv.*.tmp")) == []
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.csv"])
+        assert existing is None or target.read_text() == existing
+
     def test_mode_comes_without_setting_the_umask(self, tmp_path, monkeypatch):
         """The umask is one per process: setting it, even to read it back, gives
         a file another thread creates meanwhile the wrong mode."""

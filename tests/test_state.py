@@ -100,6 +100,10 @@ class TestPhaseMatchingEnvelope:
         with pytest.raises(ValueError):
             PhaseMatchingSpec("gaussian")
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown phase-matching kind 'sinc'$"):
+            PhaseMatchingSpec("sinc")
+
 
 class TestFlatPhaseMatchingTakesNoWidth:
     @pytest.mark.parametrize("width", [5.0, 1e300])
@@ -363,6 +367,16 @@ class TestDtypeContract:
             tracemalloc.stop()
         assert out.amplitude.nbytes == result_bytes
         assert result_bytes <= peak < 1.25 * result_bytes  # a copy in the state would double it
+
+    @pytest.mark.parametrize("amplitude, message", [
+        (np.ones((2, 3)), r"^amplitude shape \(2, 3\) does not match grid \(2, 2\)$"),
+        (np.ones(4), r"^amplitude shape \(4,\) does not match grid \(2, 2\)$"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), r"^amplitude entries must be finite$"),
+        (np.array([[1, 0], [0, complex(0, np.inf)]]), r"^amplitude entries must be finite$"),
+    ], ids=["2x3", "flat", "nan", "complex inf"])
+    def test_amplitude_off_the_grid_or_not_finite_is_refused(self, amplitude, message):
+        with pytest.raises(ValueError, match=message):
+            BiphotonAmplitude(build_grid(685.0, 40.0, 2), amplitude)
 
     def test_amplitude_keeps_its_kind(self):
         grid = build_grid(685.0, 40.0, 2)

@@ -47,9 +47,7 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SweepPlan(small_config(), "coupling_ratio", (1.0, 0.5))
 
-    def test_rejects_nonpositive_coupling(self):
-        with pytest.raises(ValueError):
-            SweepPlan(small_config(), "coupling_ratio", (0.0, 1.0))
+    def test_rejects_nonpositive_pump_bandwidth(self):
         with pytest.raises(ValueError):
             SweepPlan(small_config(), "pump_bandwidth_nm", (-1.0, 1.0))
 
@@ -75,11 +73,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=rf"^{parameter} value {repeated}: repeated in the "
                                              r"series$"):
             SweepPlan(small_config(), swept, (1.0,), series_values=series)
-
-    @pytest.mark.parametrize("values, first", [((0.0,), "0"), ((-3.0, -1.0, 1.0), "-3")])
-    def test_nonpositive_coupling_names_the_first_value(self, values, first):
-        with pytest.raises(ValueError, match=rf"^coupling_ratio value {first}: must be positive$"):
-            SweepPlan(small_config(), "coupling_ratio", values)
 
     def test_oversize_table_is_refused_before_any_point_is_built(self, monkeypatch):
         built, config, build = [], small_config(), CavityConfig.model
@@ -119,6 +112,7 @@ class TestPlanValidation:
         ("cavity_detuning_nm", (-1000.0, 1.0), (), "cavity_detuning_nm value -1000",
          "omega_0 must be"),
         ("coupling_ratio", (1e9,), (), "coupling_ratio value 1e+09", "Dicke critical point"),
+        ("coupling_ratio", (-3.0, -1.0, 1.0), (), "coupling_ratio value -3", "lambda_c must be"),
     ])
     def test_rejects_bad_cavity_values_naming_them(self, swept, values, series, named, reason):
         with pytest.raises(ValueError, match=rf"{re.escape(named)}\b.*: .*{reason}"):
@@ -184,6 +178,16 @@ class TestCouplingSweep:
         result = run_sweep(plan)
         low, high = result.rows[0], result.rows[1]
         assert low.entropy < result.input_entropy < high.entropy
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_coupling_row_is_the_empty_cavity(self, zero):
+        # with the cavity mode on the emitter line, zero coupling is the two-sided filter
+        config = small_config(center_nm=686.0, emitter_nm=686.0)
+        result = run_sweep(SweepPlan(config, "coupling_ratio", (zero, 1.0), series_values=(0.0,)))
+        row = result.rows[0]
+        assert row.sweep_value == zero and row.entropy == result.empty_cavity_entropy
+        assert row.delta_vs_input == result.empty_cavity_entropy - result.input_entropy
+        assert row.flags == ("weak_coupling",)
 
     def test_weak_coupling_rows_flagged(self):
         plan = SweepPlan(small_config(), "coupling_ratio", (0.4, 1.0), series_values=(0.0,))
