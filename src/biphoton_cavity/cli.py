@@ -167,8 +167,8 @@ def build_parser() -> _Parser:
         p.set_defaults(swept_parameter=swept)
         p.add_argument("--values", default=values, help="sweep values: start:stop:step or "
                        "v1,v2,... (default: %(default)s)")
-        p.add_argument("--series", default=series, help="series values: v1,v2,... (default: "
-                       f"{series or 'one series at the configured value'})")
+        p.add_argument("--series", default=series, help="series values: start:stop:step or "
+                       f"v1,v2,... (default: {series or 'one series at the configured value'})")
     ingest = add("ingest", _cmd_ingest, "validate a measured JSI file and report its entropy")
     ingest.add_argument("--in", dest="source", required=True, metavar="FILE",
                         help="measured JSI file to ingest")

@@ -8,7 +8,7 @@ iterable of text pieces, each of whole newline-terminated lines, whose
 concatenation is the file: a jsiv1 export is one piece per block of grid
 cells.  Writes go to a temporary file and are renamed into place, so failed
 exports leave nothing behind.  Ingested files are read once, in bounded
-chunks that number their lines, and again only when np.loadtxt refuses them.
+chunks that number their lines: np.loadtxt parses each, and float() one it refuses.
 """
 
 import os
@@ -42,10 +42,6 @@ _SKIP_MARKS = "#\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # surrogateescape's code for a byte not UTF-8
 _MAX_ROWS = MAX_GRID_ARRAY_BYTES // 16  # data rows: the cells of the largest grid allowed
 _MAX_LINE_CHARS = 1 << 20  # at least _READ_CHARS, so only a read's first and last line can pass it
-
-
-class _Refused(ValueError):
-    """A file refused as it is read: a second read would refuse it the same way."""
 
 
 def _fmt(x: float) -> str:
@@ -158,12 +154,12 @@ def render_sweep(result: SweepResult) -> list[str]:
 
 def _skip_line(line: str, columns: list[str], path, number: int) -> bool:
     """Whether a stripped line is blank or a comment; `# columns:` sets `columns`,
-    and raises _Refused at `path`:`number` once they are set."""
+    and raises ValueError at `path`:`number` once they are set."""
     if line.startswith("#"):
         body = line.lstrip("#").strip()
         if body.startswith("columns:"):
             if columns:
-                raise _Refused(f"{path}:{number}: duplicate '# columns:' header")
+                raise ValueError(f"{path}:{number}: duplicate '# columns:' header")
             columns[:] = [c.strip() for c in body[len("columns:"):].split(",")]
         return True
     return not line
@@ -178,7 +174,7 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
     numbered by a range.  A byte that is not UTF-8 (found by one search of the
     read but its unfinished last line), a line longer than `_MAX_LINE_CHARS`,
     a second `# columns:` header and the data line past `_MAX_ROWS` raise
-    _Refused naming their line.  A byte-order mark that opens the file is dropped."""
+    ValueError naming their line.  A byte-order mark that opens the file is dropped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         tail, first, more, rows = "", 1, True, 0
         while more:
@@ -191,28 +187,28 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
             first = numbers.stop
             for line, number in (*zip(lines[:1], numbers), (tail, first)):
                 if len(line) > _MAX_LINE_CHARS:
-                    raise _Refused(f"{path}:{number}: line longer than {_MAX_LINE_CHARS} characters")
+                    raise ValueError(f"{path}:{number}: line longer than {_MAX_LINE_CHARS} characters")
             if "" in lines or not text.isascii() or any(mark in text for mark in _SKIP_MARKS):
                 if not text.isascii() and (bad := _NOT_UTF8.search(text, 0, len(text) - len(tail))):
                     number = numbers.start + text.count("\n", 0, bad.start())
-                    raise _Refused(f"{path}:{number}: not UTF-8 text")
+                    raise ValueError(f"{path}:{number}: not UTF-8 text")
                 keep = [not _skip_line(line.strip(), columns, path, number)
                         for line, number in zip(lines, numbers)]
                 lines = list(compress(lines, keep))
                 numbers = numbers.start + np.flatnonzero(keep)
             if lines:  # an empty range would make the concatenated numbers float
                 if (rows := rows + len(lines)) > _MAX_ROWS:
-                    raise _Refused(f"{path}:{numbers[_MAX_ROWS - rows + len(lines)]}: more than "
-                                   f"{_MAX_ROWS} data rows, the cells of the largest grid")
+                    raise ValueError(f"{path}:{numbers[_MAX_ROWS - rows + len(lines)]}: more than "
+                                     f"{_MAX_ROWS} data rows, the cells of the largest grid")
                 spans.append(numbers)
                 yield lines
 
 
 def _parse_rows(path, lines, line_numbers) -> list[list[float]]:
-    """Cell-by-cell float() parse: the diagnostic path when np.loadtxt refuses.
+    """Cell-by-cell float() parse of a read np.loadtxt refuses.
 
     float() accepts a superset of np.loadtxt (underscores, non-ASCII digits),
-    so a file the fast path rejects still parses exactly as it always did.
+    so a read the fast path rejects still parses exactly as it always did.
     """
     rows = []
     for line, lineno in zip(map(str.strip, lines), line_numbers):
@@ -230,30 +226,29 @@ def _read_table(path):
     Validation failures name the offending file line and cell coordinates.
     """
     columns: list[str] = []
-    spans: list = []  # a range or index array per read: joined only for a message or float()
-    lines = chain.from_iterable(_data_chunks(path, columns, spans))
-    data, rows = None, None
-    try:
-        if (first := next(lines, None)) is not None:
-            data = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
-    except _Refused:
-        raise
-    except ValueError:  # a line np.loadtxt refuses
-        # float() parses once every line is read: a line that is not UTF-8 is
-        # reported before any bad cell.
-        spans.clear()
-        columns.clear()
-        lines = list(chain.from_iterable(_data_chunks(path, columns, spans)))
-        rows = _parse_rows(path, lines, np.concatenate(spans))
-    if data is None and not rows:
+    spans: list = []  # a range or index array per read: joined only for a message
+    widths: list = []  # a read's one width, or its rows' where float() reads it ragged
+    data = np.empty((0, 0))  # grown in place, read by read
+    for lines in _data_chunks(path, columns, spans):
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a line np.loadtxt refuses: float() parses this read alone
+            rows = _parse_rows(path, lines, spans[-1])
+            if len({len(values) for values in rows}) > 1:  # ragged: the width check refuses it
+                widths.append([len(values) for values in rows])
+                continue
+            block = np.array(rows)
+        widths.append(block.shape[1])
+        if block.shape[1] == data.shape[1] or not data.size:  # else the width check refuses
+            data.resize((len(data) + len(block), block.shape[1]), refcheck=False)
+            data[-len(block):] = block
+    if not spans:
         raise ValueError(f"{path}: no data rows")
 
-    # np.loadtxt only returns rectangular data, so its one width stands for every row.
-    widths = [data.shape[1]] if rows is None else [len(values) for values in rows]
     if not columns:
         columns = (
             ["signal_nm", "idler_nm", "re", "im", "intensity"]
-            if widths[0] == 5
+            if np.ravel(widths[0])[0] == 5
             else ["signal_nm", "idler_nm", "intensity"]
         )
     for k, name in enumerate(columns):
@@ -263,12 +258,11 @@ def _read_table(path):
         if name not in columns:
             raise ValueError(f"{path}: missing required column {name!r}")
     idx = {name: columns.index(name) for name in columns}
-    for row, width in enumerate(widths):
-        if width != len(columns):
-            raise ValueError(f"{path}:{np.concatenate(spans)[row]}: "
-                             f"expected {len(columns)} columns, got {width}")
-    if rows is not None:
-        data = np.array(rows)
+    for width, numbers in zip(widths, spans):
+        width = np.broadcast_to(width, (len(numbers),))
+        if (bad := np.flatnonzero(width != len(columns))).size:
+            raise ValueError(f"{path}:{numbers[bad[0]]}: "
+                             f"expected {len(columns)} columns, got {width[bad[0]]}")
 
     signal_col = data[:, idx["signal_nm"]]
     idler_col = data[:, idx["idler_nm"]]

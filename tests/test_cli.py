@@ -695,6 +695,8 @@ class TestSweepCommands:
         out = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
         for spec in self.SPECS[command]:
             assert f"(default: {spec.partition('=')[2]})" in out
+        for flag in ("--values VALUES sweep", "--series SERIES series"):  # a range or a list
+            assert f"{flag} values: start:stop:step or v1,v2,..." in out
         if command == "sweep-detuning":
             assert "(default: one series at the configured value)" in out
 

@@ -413,27 +413,28 @@ class TestIngestParserEquivalence:
         assert _ingest_outcome(path)["intensity"] == np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
 
     @pytest.mark.parametrize("read_chars", [1, 4, 11, 64])
-    def test_second_read_numbers_lines_afresh(self, tmp_path, monkeypatch, read_chars):
-        # np.loadtxt refuses line 2 before the first read reaches the ragged line 5
+    def test_float_read_keeps_file_line_numbers(self, tmp_path, monkeypatch, read_chars):
+        # np.loadtxt refuses the read that holds line 2 and float() parses it;
+        # the ragged line 5 is still named by its line in the file
         monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
         path = tmp_path / "split.csv"
         path.write_text("\n".join([self.GRID[0], "700,700,1_0", *self.GRID[2:4], "690,690"]) + "\n")
         assert _ingest_outcome(path) == f"{path}:5: expected 3 columns, got 2"
 
-    def test_file_read_again_only_when_loadtxt_refuses(self, tmp_path, monkeypatch):
+    def test_file_is_opened_once(self, tmp_path, monkeypatch):
         opened = []
         monkeypatch.setattr(dataio, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
                             raising=False)
         path = tmp_path / "grid.csv"
-        for last, expected, reads in (
-            ("690,690,4", 4.0, 1),
-            ("690,690,nan", ":5: non-finite data", 1),  # its line comes from the first read
-            ("690,690,1_0", 10.0, 2),  # float() reads 1_0; np.loadtxt refuses it
+        for last, expected in (
+            ("690,690,4", 4.0),
+            ("690,690,nan", ":5: non-finite data"),
+            ("690,690,1_0", 10.0),  # float() reads 1_0; np.loadtxt refuses it
         ):
             opened.clear()
             path.write_text("\n".join(self.GRID[:4] + [last]) + "\n")
             outcome = _ingest_outcome(path)
-            assert opened == [path] * reads
+            assert opened == [path]
             if isinstance(expected, str):
                 assert outcome == f"{path}{expected}"
             else:
@@ -459,6 +460,15 @@ class TestLineLookupAtEveryReadSize:
         path = tmp_path / "bad.csv"
         path.write_bytes(self.HEAD + body)
         assert _ingest_outcome(path) == f"{path}:{lineno}: not UTF-8 text"
+
+    def test_first_refused_line_in_file_order(self, tmp_path, monkeypatch, read_chars):
+        """A bad cell is refused before a byte that is not UTF-8 in a later read; in
+        one read, as at 64 characters and at the default size, the byte comes first."""
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.HEAD + b"700,700,x\n700,690,2\n690,700,3\n690,690,4\n# \xff\n")
+        expected = ":7: not UTF-8 text" if read_chars == 64 else ":3: non-numeric data '700,700,x'"
+        assert _ingest_outcome(path) == f"{path}{expected}"
 
     def test_split_multi_byte_characters_are_not_reported(self, tmp_path, monkeypatch,
                                                           read_chars):
@@ -666,8 +676,13 @@ class TestStreaming:
         path, peak = reference_export
         assert peak < path.stat().st_size / 4
 
-    def test_ingest_peak_below_twice_the_table(self, reference_export):
+    @pytest.mark.parametrize("last_cell", [None, b"1_0"], ids=["as_written", "last_cell_1_0"])
+    def test_ingest_peak_below_twice_the_table(self, reference_export, tmp_path, last_cell):
         path, _ = reference_export
+        if last_cell is not None:  # float() parses the last read, which np.loadtxt refuses
+            text = path.read_bytes()
+            path = tmp_path / "edited.csv"
+            path.write_bytes(text[:text.rindex(b",") + 1] + last_cell + b"\n")
         table_bytes = 512 * 512 * 5 * 8  # rows x columns x float64
         # the lower bound shows that the traced allocations include numpy's
         assert table_bytes < traced_peak(lambda: ingest_measured_jsi(path)) < 2 * table_bytes
