@@ -165,16 +165,16 @@ def _skip_line(line: str, columns: list[str], path, number: int) -> bool:
     return not line
 
 
-def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
-    """The data lines of the file at `path`, without newlines, in one list per
-    read that has any, and each list's file line numbers appended to `spans`.
-    A read with an empty line, a non-ASCII character or one of `_SKIP_MARKS`
-    goes line by line: it loses the lines `_skip_line` drops (setting
-    `columns`) and numbers the others in an index array; any other read is
-    numbered by a range.  A byte that is not UTF-8 (found by one search of the
-    read but its unfinished last line), a line longer than `_MAX_LINE_CHARS`,
-    a second `# columns:` header and the data line past `_MAX_ROWS` raise
-    ValueError naming their line.  A byte-order mark that opens the file is dropped."""
+def _data_chunks(path, columns: list[str]) -> Iterator[tuple[list[str], range | np.ndarray]]:
+    """The data lines of the file at `path`, without newlines, and their file
+    line numbers: one (lines, numbers) pair per read that has any.  A read with
+    an empty line, a non-ASCII character or one of `_SKIP_MARKS` goes line by
+    line: it loses the lines `_skip_line` drops (setting `columns`) and numbers
+    the others in an index array; any other read is numbered by a range.  A
+    byte that is not UTF-8 (found by one search of the read but its unfinished
+    last line), a line longer than `_MAX_LINE_CHARS`, a second `# columns:`
+    header and the data line past `_MAX_ROWS` raise ValueError naming their
+    line.  A byte-order mark that opens the file is dropped."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         tail, first, more, rows = "", 1, True, 0
         while more:
@@ -200,8 +200,7 @@ def _data_chunks(path, columns: list[str], spans: list) -> Iterator[list[str]]:
                 if (rows := rows + len(lines)) > _MAX_ROWS:
                     raise ValueError(f"{path}:{numbers[_MAX_ROWS - rows + len(lines)]}: more than "
                                      f"{_MAX_ROWS} data rows, the cells of the largest grid")
-                spans.append(numbers)
-                yield lines
+                yield lines, numbers
 
 
 def _parse_rows(path, lines, line_numbers) -> list[list[float]]:
@@ -229,11 +228,12 @@ def _read_table(path):
     spans: list = []  # a range or index array per read: joined only for a message
     widths: list = []  # a read's one width, or its rows' where float() reads it ragged
     data = np.empty((0, 0))  # grown in place, read by read
-    for lines in _data_chunks(path, columns, spans):
+    for lines, numbers in _data_chunks(path, columns):
+        spans.append(numbers)
         try:
             block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:  # a line np.loadtxt refuses: float() parses this read alone
-            rows = _parse_rows(path, lines, spans[-1])
+            rows = _parse_rows(path, lines, numbers)
             if len({len(values) for values in rows}) > 1:  # ragged: the width check refuses it
                 widths.append([len(values) for values in rows])
                 continue

@@ -147,12 +147,11 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     base = plan.base_config
     grid = grid_from_config(base)
     empty_curve = transfer_for(base.cavity.model(coupling_ratio=0.0), grid.idler_axis)
-    point_indices = {base: []}  # the base is measured first, with or without points
-    for index, (_, _, config, _) in enumerate(plan.points):
-        point_indices.setdefault(config, []).append(index)
-    rows = [None] * len(plan.points)
-    references = {}  # pump bandwidth -> (input entropy, empty-cavity entropy)
-    for config, indices in point_indices.items():
+    states = {base: []}  # input state -> its points; the base first, with or without points
+    for point in plan.points:
+        states.setdefault(point[2], []).append(point)
+    rows, references = [], {}  # references: pump bandwidth -> (input, empty-cavity entropy)
+    for config, points in states.items():
         width = config.pump.bandwidth_nm
         try:  # a point's config differs from the base only in its swept pump bandwidth
             state = input_state_from_config(config, grid)
@@ -162,15 +161,15 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
             raise ValueError(f"pump_bandwidth_nm value {width:g}: {exc}") from None
         s_in, _ = references[width] = (
             entropy_of(state), entropy_of(apply_idler_transfer(state, empty_curve)))
-        for index in indices:
-            series_value, value, _, model = plan.points[index]
+        for series_value, value, _, model in points:
             curve = transfer_for(model, grid.idler_axis)
             entropy = entropy_of(apply_idler_transfer(state, curve))
-            rows[index] = SweepRow(series_value, value, entropy, entropy - s_in, curve.flags)
+            rows.append(SweepRow(series_value, value, entropy, entropy - s_in, curve.flags))
         del state  # the one input state held: it is freed before the next is composed
     reference_rows = () if plan.swept_parameter != "pump_bandwidth_nm" else tuple(
         ReferenceRow(kind, width, entropy) for width in plan.values
         for kind, entropy in zip(("input", "empty_cavity"), references[width]))
+    rows.sort(key=lambda row: (row.series_value, row.sweep_value))  # plan.points' order
     return SweepResult(plan, tuple(rows), *references[base.pump.bandwidth_nm], reference_rows)
 
 

@@ -25,6 +25,7 @@ deviations", keeps them and the analysis.
 import time
 
 import numpy as np
+import pytest
 
 from biphoton_cavity import (
     BiphotonAmplitude,
@@ -158,11 +159,73 @@ def two_sided_c(y):
     return GAMMA / (GAMMA + 1j * y)
 
 
-def dicke_c(coupling_ratio):
-    """README coupled response at zero detuning, multiplied through by i y so
-    that the emitter line y = 0 gives its limit 0."""
-    lam = coupling_ratio * GAMMA
-    return lambda y: 1j * GAMMA * y / (1j * GAMMA * y - y**2 + lam**2)
+def omega_of(wavelength_nm):
+    return 2.0 * np.pi * C_NM_PER_FS / wavelength_nm
+
+
+def dicke_c(coupling_ratio, detuning_nm=0.0):
+    """README coupled response with the emitter at 685 nm and the cavity mode
+    `shift` = detuning_nm * omega(685 nm) / 685 nm above it, multiplied through
+    by i y so that the emitter line y = 0 gives its limit 0."""
+    lam, shift = coupling_ratio * GAMMA, detuning_nm * omega_of(685.0) / 685.0
+    return lambda y: 1j * GAMMA * y / (1j * GAMMA * y - y * (y - shift) + lam**2)
+
+
+# The converged oracle of the coupled cavity, which resolves the emitter's notch
+# at any detuning.  By Mehler's formula the input exp(-(A x^2 + 2 C x y + B y^2))
+# is sum_n rho^n u_n(x) v_n(y), with the Hermite functions v_n(y) =
+# psi_n(alpha sqrt(B) y) as idler modes, kappa = C / sqrt(A B),
+# rho = (sqrt(1 - kappa^2) - 1) / kappa and alpha^2 = 2 (1 - rho^2) / (1 + rho^2)
+# (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  The cavity acts on the idler
+# alone, so the output's Schmidt weights are the eigenvalues of
+# G_nm = rho^n rho^m integral v_n v_m |C|^2 dy: a 1-d integral, with no 2-d array.
+def schmidt_modes(points=1 << 14, extra_terms=0):
+    """(y, h, D) of the reference state: a uniform axis of `points` samples over
+    the grid window, as y = omega - omega(685 nm), its step h, and the weighted
+    idler modes D[n] = rho^n psi_n(alpha sqrt(B) y) for n < r, the smallest r
+    with rho^(2 r) < 1e-18, and for `extra_terms` more n."""
+    key = ("modes", points, extra_terms)
+    if key not in _cache:
+        a, b, c = gaussian_coefficients()
+        kappa = c / np.sqrt(a * b)
+        rho = (np.sqrt(1.0 - kappa**2) - 1.0) / kappa
+        alpha = np.sqrt(2.0 * (1.0 - rho**2) / (1.0 + rho**2))
+        terms = extra_terms + next(r for r in range(1, 10_000) if rho ** (2 * r) < 1e-18)
+        axis = np.linspace(omega_of(705.0), omega_of(665.0), points)
+        y = axis - omega_of(685.0)
+        u = alpha * np.sqrt(b) * y
+        psi = [np.pi**-0.25 * np.exp(-u**2 / 2.0)]
+        psi.append(np.sqrt(2.0) * u * psi[0])
+        for n in range(1, terms - 1):  # the three-term recurrence
+            psi.append(np.sqrt(2.0 / (n + 1)) * u * psi[n] - np.sqrt(n / (n + 1)) * psi[n - 1])
+        modes = rho ** np.arange(terms)[:, None] * np.array(psi[:terms])
+        _cache[key] = (y, axis[1] - axis[0], modes)
+    return _cache[key]
+
+
+def mode_entropy(transmission, modes=None):
+    """Entropy in nats of the weights eigvalsh((D * (T * h)) @ D.T), T = |C|^2."""
+    _, h, d = schmidt_modes() if modes is None else modes
+    weights = np.linalg.eigvalsh((d * (transmission * h)) @ d.T)
+    weights = weights[weights > 0.0]
+    weights /= weights.sum()
+    return float(-np.sum(weights * np.log(weights)))
+
+
+def mode_delta(coupling_ratio, detuning_nm, modes=None):
+    """The oracle's S_out - S_in through the dicke cavity."""
+    y = (schmidt_modes() if modes is None else modes)[0]
+    transmission = np.abs(dicke_c(coupling_ratio, detuning_nm)(y)) ** 2
+    return mode_entropy(transmission, modes) - mode_entropy(1.0, modes)
+
+
+def bisect_root(f, lo, hi, tol=1e-13):
+    """The root of f, which changes sign on [lo, hi], by bisection to `tol`."""
+    below = f(lo) < 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (f(mid) < 0.0) == below else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def oracle_input_entropy(convention="at_degeneracy"):
@@ -435,3 +498,43 @@ class TestCriterion10NumericalStability:
             f"refinement changes {dict((k, f'{v:.2e}') for k, v in changes.items())} (<1e-3); "
             f"round-trip {round_trip_ok}; byte-identical {byte_ok}",
         )
+
+
+class TestConvergedModeOracle:
+    """The coupled cavity's entropy from the reference state's Schmidt modes on a
+    2^14-point idler axis, which resolves the emitter's notch at every detuning
+    the sweeps run.  Its values at +-4 nm and its thresholds are pinned, it
+    checks its own rule at half density and with 8 more terms, and the
+    program's 512-point grid agrees with it at zero detuning, where that grid
+    converges."""
+
+    def test_input_entropy_is_the_closed_form(self):
+        assert abs(mode_entropy(1.0) - closed_form_entropy(*gaussian_coefficients())) <= 1e-12
+
+    @pytest.mark.parametrize("detuning_nm, delta", [(-4.0, -0.0028292076627725),
+                                                     (4.0, -0.0028292076627722)])
+    def test_delta_at_half_coupling(self, detuning_nm, delta):
+        assert abs(mode_delta(0.5, detuning_nm) - delta) <= ORACLE_TOL
+
+    def test_mirror_about_the_emitter(self):
+        assert abs(mode_delta(0.5, 4.0) - mode_delta(0.5, -4.0)) <= 1e-12
+
+    @pytest.mark.parametrize("detuning_nm, root", [(0.0, 1.041385658210), (-4.0, 0.536746988379),
+                                                   (4.0, 0.536746988379)])
+    def test_threshold(self, detuning_nm, root):
+        found = bisect_root(lambda ratio: mode_delta(ratio, detuning_nm), 0.5, 3.0)
+        assert abs(found - root) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("detuning_nm", [-4.0, 0.0, 4.0])
+    def test_converged_in_points_and_terms(self, detuning_nm):
+        delta = mode_delta(0.5, detuning_nm)
+        for points, extra_terms in ((1 << 13, 0), (1 << 14, 8)):
+            modes = schmidt_modes(points, extra_terms)
+            assert abs(mode_delta(0.5, detuning_nm, modes) - delta) <= 1e-12
+
+    def test_program_agrees_at_zero_detuning(self):
+        result, _ = _default_coupling_sweep()
+        rows = result.series(0.0)
+        assert len(rows) == 51
+        for row in rows:
+            assert abs(row.delta_vs_input - mode_delta(row.sweep_value, 0.0)) <= 1e-12

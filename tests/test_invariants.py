@@ -17,7 +17,8 @@ entropy_of on the amplitude times the square roots of the weights.  States,
 grids (64 points or fewer a side) and curves (|C| <= 1: random, and the three
 cavity kinds) are drawn by hypothesis.  The mirror symmetry about the emitter
 is checked on the reference grid, where it holds only as far as the idler
-axis resolves the emitter's notch.
+axis resolves the emitter's notch, and the idler phase on the reference
+state, through every cavity kind at and off resonance.
 """
 
 from pathlib import Path
@@ -31,6 +32,7 @@ from biphoton_cavity import (
     BiphotonAmplitude,
     CavityModel,
     FrequencyGrid,
+    apply_idler_transfer,
     entropy_of,
     load_config,
     transfer_for,
@@ -160,3 +162,17 @@ def test_mirror_about_the_emitter(reference, name, detuning_nm):
         for sign in (detuning_nm, -detuning_nm)
     ]
     assert abs(entropies[0] - entropies[1]) < 1e-6
+
+
+@pytest.mark.parametrize("detuning_nm", [-4.0, 0.0, 4.0])
+@pytest.mark.parametrize("kind, coupling_ratio", [
+    ("one_sided", None), ("two_sided", None), ("dicke", 0.5), ("dicke", 2.0)])
+def test_idler_phase_leaves_the_reference_entropy(reference, kind, coupling_ratio, detuning_nm):
+    # the real input state F gives S(F diag C) = S(F diag |C|): only |C|^2 sets the entropy
+    config, grid, amplitude = reference
+    cavity = apply_overrides(config, [f"kind={kind}"]).cavity
+    curve = transfer_for(cavity.model(coupling_ratio=coupling_ratio, detuning_nm=detuning_nm),
+                         grid.idler_axis)
+    state = BiphotonAmplitude(grid, amplitude)
+    assert abs(entropy_of(apply_idler_transfer(state, curve))
+               - entropy_of(BiphotonAmplitude(grid, amplitude * np.abs(curve.values)))) <= 1e-12
