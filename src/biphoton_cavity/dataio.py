@@ -225,30 +225,28 @@ def _read_table(path):
     Validation failures name the offending file line and cell coordinates.
     """
     columns: list[str] = []
-    spans: list = []  # a range or index array per read: joined only for a message
-    widths: list = []  # a read's one width, or its rows' where float() reads it ragged
+    reads: list = []  # (numbers, width) per read; a ragged float() read's width is its rows'
     data = np.empty((0, 0))  # grown in place, read by read
     for lines, numbers in _data_chunks(path, columns):
-        spans.append(numbers)
         try:
             block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:  # a line np.loadtxt refuses: float() parses this read alone
             rows = _parse_rows(path, lines, numbers)
             if len({len(values) for values in rows}) > 1:  # ragged: the width check refuses it
-                widths.append([len(values) for values in rows])
+                reads.append((numbers, [len(values) for values in rows]))
                 continue
             block = np.array(rows)
-        widths.append(block.shape[1])
+        reads.append((numbers, block.shape[1]))
         if block.shape[1] == data.shape[1] or not data.size:  # else the width check refuses
             data.resize((len(data) + len(block), block.shape[1]), refcheck=False)
             data[-len(block):] = block
-    if not spans:
+    if not reads:
         raise ValueError(f"{path}: no data rows")
 
     if not columns:
         columns = (
             ["signal_nm", "idler_nm", "re", "im", "intensity"]
-            if np.ravel(widths[0])[0] == 5
+            if np.ravel(reads[0][1])[0] == 5
             else ["signal_nm", "idler_nm", "intensity"]
         )
     for k, name in enumerate(columns):
@@ -258,7 +256,7 @@ def _read_table(path):
         if name not in columns:
             raise ValueError(f"{path}: missing required column {name!r}")
     idx = {name: columns.index(name) for name in columns}
-    for width, numbers in zip(widths, spans):
+    for numbers, width in reads:
         width = np.broadcast_to(width, (len(numbers),))
         if (bad := np.flatnonzero(width != len(columns))).size:
             raise ValueError(f"{path}:{numbers[bad[0]]}: "
@@ -270,12 +268,13 @@ def _read_table(path):
 
     non_finite = np.nonzero(~np.all(np.isfinite(data), axis=1))[0]
     if non_finite.size:
-        raise ValueError(f"{path}:{np.concatenate(spans)[non_finite[0]]}: non-finite data")
+        raise ValueError(f"{path}:{np.concatenate([n for n, _ in reads])[non_finite[0]]}: "
+                         "non-finite data")
     negative = np.nonzero(intensity_col < 0.0)[0]
     if negative.size:
         k = int(negative[0])
         raise ValueError(
-            f"{path}:{np.concatenate(spans)[k]}: negative intensity at cell "
+            f"{path}:{np.concatenate([n for n, _ in reads])[k]}: negative intensity at cell "
             f"(signal_nm={signal_col[k]:g}, idler_nm={idler_col[k]:g})"
         )
 

@@ -499,6 +499,22 @@ class TestLineLookupAtEveryReadSize:
         path.write_bytes(self.HEAD + b"\n".join(lines) + b"\n")
         assert _ingest_outcome(path) == f"{path}{expected}"
 
+    @pytest.mark.parametrize("gap", [b"", b"\n"], ids=["rows only", "blank line after"])
+    def test_short_row_before_the_columns_header(self, tmp_path, monkeypatch, read_chars, gap):
+        # Line 12 of a 4 x 4 grid lacks its intensity.  Read alone it goes to
+        # np.loadtxt; at 64 characters it shares a read with good rows, which
+        # float() reads ragged, numbered by a range, or by an index array when
+        # the blank line follows it.  The header comes last, so the read's width
+        # is checked against it only once the file is read.
+        monkeypatch.setattr(dataio, "_READ_CHARS", read_chars)
+        rows = [f"{s},{i},{k}".encode() for k, (s, i) in enumerate(
+            [(s, i) for s in (700, 695, 690, 685) for i in (700, 695, 690, 685)], 1)]
+        rows[10] = b"690,690"
+        path = tmp_path / "short.csv"
+        path.write_bytes(b"# format: jsiv1\n" + b"\n".join(rows[:11]) + b"\n" + gap
+                         + b"\n".join(rows[11:]) + b"\n# columns: signal_nm,idler_nm,intensity\n")
+        assert _ingest_outcome(path) == f"{path}:12: expected 3 columns, got 2"
+
 
 class TestCurveExport:
     def test_one_sided_curve_has_unit_transmission_column(self, tmp_path):

@@ -18,7 +18,14 @@ grids (64 points or fewer a side) and curves (|C| <= 1: random, and the three
 cavity kinds) are drawn by hypothesis.  The mirror symmetry about the emitter
 is checked on the reference grid, where it holds only as far as the idler
 axis resolves the emitter's notch, and the idler phase on the reference
-state, through every cavity kind at and off resonance.
+state, through every cavity kind at and off resonance.  On the reference
+state, cut to its r = 20 Schmidt modes above 1e-12 of the largest, the dense
+route through a dicke cavity is checked against the low-rank one:
+
+- low rank: with F = U diag(s) Vt and W = diag(s_r) Vt_r, S(F diag C) is the
+  entropy of the eigenvalues of the r x r matrix W diag(|C|^2) W^T;
+- its gradient: dS/dT_n, T = |C|^2, from that matrix's eigenvectors equals
+  the central difference of the dense route in T_n.
 """
 
 from pathlib import Path
@@ -176,3 +183,36 @@ def test_idler_phase_leaves_the_reference_entropy(reference, kind, coupling_rati
     state = BiphotonAmplitude(grid, amplitude)
     assert abs(entropy_of(apply_idler_transfer(state, curve))
                - entropy_of(BiphotonAmplitude(grid, amplitude * np.abs(curve.values)))) <= 1e-12
+
+
+@pytest.mark.parametrize("detuning_nm", [-4.0, 0.0, 4.0])
+@pytest.mark.parametrize("coupling_ratio", [0.5, 2.0])
+def test_low_rank_route_and_its_gradient_in_transmission(reference, coupling_ratio, detuning_nm):
+    # F = U diag(s) Vt keeps r modes; then S(F diag C) is the entropy of the r x r
+    # G = W diag(T) W^T, W = s_r Vt_r and T = |C|^2, and dS/dT_n = -(1/L) sum_j
+    # (ln p_j + S) (Q^T W)_jn^2 over G's eigenpairs (lambda_j, q_j), L = sum lambda_j
+    config, grid, amplitude = reference
+    cavity = apply_overrides(config, ["kind=dicke"]).cavity
+    curve = transfer_for(cavity.model(coupling_ratio=coupling_ratio, detuning_nm=detuning_nm),
+                         grid.idler_axis)
+    _, s, vt = np.linalg.svd(amplitude)
+    r = np.count_nonzero(s > 1e-12 * s[0])
+    w = s[:r, None] * vt[:r]  # the reference grid's weights are equal
+    t = np.abs(curve.values) ** 2
+    lam, q = np.linalg.eigh((w * t) @ w.T)
+    keep = lam > 0.0  # a mode below rounding would have no logarithm
+    p = lam[keep] / lam.sum()
+    entropy = -np.sum(p * np.log(p))
+    assert abs(entropy - entropy_of(apply_idler_transfer(BiphotonAmplitude(grid, amplitude),
+                                                         curve))) <= 1e-12
+
+    gradient = -((np.log(p) + entropy) @ (q[:, keep].T @ w) ** 2) / lam.sum()
+    h = 1e-6
+    for n in [*np.argsort(np.abs(gradient))[-4:], 100, 256, 400]:
+        if t[n] <= 2 * h:  # the dicke zero at the emitter: T - h would be negative
+            continue
+        step = np.zeros_like(t)
+        step[n] = h
+        central = (entropy_of(BiphotonAmplitude(grid, amplitude * np.sqrt(t + step)))
+                   - entropy_of(BiphotonAmplitude(grid, amplitude * np.sqrt(t - step)))) / (2 * h)
+        assert abs(central - gradient[n]) <= 1e-6 * np.abs(gradient).max()
