@@ -633,6 +633,19 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.csv"])
         assert existing is None or target.read_text() == existing
 
+    def test_a_failed_cleanup_keeps_the_export_error(self, tmp_path, monkeypatch):
+        def pieces():
+            yield "x\n"
+            raise RuntimeError("export failed")
+
+        def unlink(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "unlink", unlink)
+        with pytest.raises(RuntimeError, match="^export failed$"):
+            dataio.write_lines(tmp_path / "out.csv", pieces())
+        assert not (tmp_path / "out.csv").exists()
+
     def test_mode_comes_without_setting_the_umask(self, tmp_path, monkeypatch):
         """The umask is one per process: setting it, even to read it back, gives
         a file another thread creates meanwhile the wrong mode."""

@@ -33,7 +33,17 @@ class TestPublicSurface:
         assert done.stdout.split() == []
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """pyproject.toml promises Python >= 3.10.  This checks the grammar only: a call to
+    a standard-library function newer than 3.10 still parses."""
+    files = [path for part in ("src", "tests", "bench") for path in (ROOT / part).rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_bytes(), filename=str(path), feature_version=(3, 10))
 
 
 class TestBenchmarkImports:
