@@ -29,7 +29,7 @@ from .state import (
     phase_matching_envelope,
     pump_envelope,
 )
-from .sweep import Crossing, SweepPlan, SweepResult, find_entropy_crossing, run_sweep
+from .sweep import SweepPlan, SweepResult, run_sweep
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "CAVITY_KINDS",
     "CavityModel",
     "ConfigError",
-    "Crossing",
     "FilterSpec",
     "FrequencyGrid",
     "PhaseMatchingSpec",
@@ -55,7 +54,6 @@ __all__ = [
     "compose_input_state",
     "detection_filter_profile",
     "entropy_of",
-    "find_entropy_crossing",
     "ingest_measured_jsi",
     "load_config",
     "normalize",

@@ -69,7 +69,8 @@ def _parse_values(spec: str, flag: str) -> tuple[float, ...]:
                           f"the limit is {MAX_SWEEP_POINTS}")
     if not math.isfinite(max(-start, end) * 1e12):  # np.round(x, 12) scales x by 1e12
         raise ConfigError(f"{flag}: range {spec!r} is too large to round to 12 decimals")
-    return tuple(np.round(np.arange(start, end, step), 12))
+    # start:start:step is start: half a step may vanish against stop, and np.arange give nothing
+    return tuple(np.round(np.arange(start, end, step) if stop > start else np.array([start]), 12))
 
 
 def _cmd_state(args, config):

@@ -61,9 +61,9 @@ def _header(format_name: str, config: SimConfig | None, columns: str, extra=()) 
 
 def check_output_path(path):
     """`path` as given; OSError unless a regular file can be created or replaced there."""
-    where = Path(path)
-    if where.is_dir():
-        raise OSError(f"output path is a directory: {where}")
+    where = Path(path)  # Path drops a trailing "/" or "/.", where POSIX reads a directory
+    if where.is_dir() or os.path.basename(path) in ("", "."):
+        raise OSError(f"output path is a directory: {path or where}")
     if where.exists() and not where.is_file():
         raise OSError(f"output path is not a regular file: {where}")
     if not where.parent.is_dir():
@@ -78,7 +78,9 @@ def write_lines(path, pieces: Iterable[str]) -> None:
     pieces = iter(pieces)
     first = next(pieces, "")  # a lazy export (a sweep) runs before the temporary file exists
     # A new file, never one already there, with the mode open() gives: 0o666 less the umask.
-    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # Its name is the output's, cut at a character so that the 21 bytes added fit in 255.
+    stem = os.fsencode(path.name)[:255 - 21].decode("utf-8", "ignore")
+    tmp_name = path.with_name(f"{stem}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:

@@ -120,18 +120,6 @@ class SweepResult:
     empty_cavity_entropy: float
     reference_rows: tuple[ReferenceRow, ...] = ()
 
-    def series(self, series_value: float) -> list[SweepRow]:
-        return [r for r in self.rows if r.series_value == series_value]
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """Interpolated sweep value where the output entropy first reaches the
-    input entropy; boundary=True when already above at the first sample."""
-
-    value: float
-    boundary: bool = False
-
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Entropy of the dicke-transformed state at every point of the plan's table.
@@ -171,24 +159,3 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         for kind, entropy in zip(("input", "empty_cavity"), references[width]))
     rows.sort(key=lambda row: (row.series_value, row.sweep_value))  # plan.points' order
     return SweepResult(plan, tuple(rows), *references[base.pump.bandwidth_nm], reference_rows)
-
-
-def find_entropy_crossing(result: SweepResult, series_value: float) -> Crossing | None:
-    """Sweep value where the output entropy first crosses the input entropy.
-
-    Linear interpolation between adjacent samples; None when the output stays
-    below the input over the whole range; flagged boundary when the first
-    sample is already at or above it.
-    """
-    rows = result.series(series_value)
-    if len(rows) < 2:
-        raise ValueError("crossing detection needs at least 2 rows in the series")
-    rows = sorted(rows, key=lambda r: r.sweep_value)
-    if rows[0].delta_vs_input >= 0.0:
-        return Crossing(value=rows[0].sweep_value, boundary=True)
-    for (row_a, row_b) in zip(rows, rows[1:]):
-        if row_a.delta_vs_input < 0.0 <= row_b.delta_vs_input:
-            span = row_b.delta_vs_input - row_a.delta_vs_input
-            t = -row_a.delta_vs_input / span
-            return Crossing(value=row_a.sweep_value + t * (row_b.sweep_value - row_a.sweep_value))
-    return None

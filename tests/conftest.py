@@ -39,6 +39,14 @@ def entropy_oracle(state) -> float:
     return 0.0 - float(np.sum(p * np.log(p)))  # +0.0, not -0.0, for a separable state
 
 
+def threshold_bracket(rows):
+    """(last sweep value below, first at or above) the entropy threshold of one series' rows
+    in sweep order: the first row whose delta_vs_input >= 0 and the row before it.  None when
+    no row reaches the input entropy, or the first already does."""
+    k = next((k for k, row in enumerate(rows) if row.delta_vs_input >= 0.0), 0)
+    return (rows[k - 1].sweep_value, rows[k].sweep_value) if k else None
+
+
 def traced_peak(func):
     """Peak memory func() allocates through Python's allocators, above where it started."""
     tracemalloc.start()

@@ -372,7 +372,7 @@ class TestErrorPaths:
         assert main(["state", "--config", config_path, "--out", str(target)]) == 2
 
     @pytest.mark.parametrize("command", [["state"], ["sweep-detuning", "--values=0,1"]])
-    @pytest.mark.parametrize("out", ["dir", ".", "", "ABSOLUTE"])
+    @pytest.mark.parametrize("out", ["dir", ".", "", "ABSOLUTE", "new/"])
     def test_out_naming_a_directory_is_refused(self, tmp_path, capsys, monkeypatch, command, out):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
@@ -382,6 +382,18 @@ class TestErrorPaths:
         assert main([*command, "--config", "dicke.cfg", "--out", out]) == 2
         assert capsys.readouterr().err == f"i/o error: output path is a directory: {out or '.'}\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["dicke.cfg", "dir"]
+
+    @pytest.mark.parametrize("out", ["f.csv/", "f.csv/."])
+    def test_out_ending_in_a_separator_leaves_the_file_there(self, tmp_path, capsys, monkeypatch,
+                                                               out):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BIPHOTON_CAVITY_OUT_DIR", raising=False)
+        (tmp_path / "dicke.cfg").write_text("grid.points = 16\ncavity.kind = dicke\n")
+        (tmp_path / "f.csv").write_text("kept\n")
+        assert main(["sweep-detuning", "--values=0,1", "--config", "dicke.cfg", "--out", out]) == 2
+        assert capsys.readouterr().err == f"i/o error: output path is a directory: {out}\n"
+        assert (tmp_path / "f.csv").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dicke.cfg", "f.csv"]
 
     @pytest.mark.parametrize("curve_out, message", [
         (".", "output path is a directory: ."),
@@ -672,6 +684,15 @@ class TestSweepCommands:
 
         values = _parse_values(f"1:{MAX_SWEEP_POINTS}:1", "--values")
         assert len(values) == MAX_SWEEP_POINTS and values[-1] == MAX_SWEEP_POINTS
+
+    @pytest.mark.parametrize("spec, value", [
+        ("5:5:1", 5.0), ("1:1:1e-300", 1.0), ("1e20:1e20:1", 1e20),
+        ("0.1234567890123:0.1234567890123:1", 0.123456789012),  # rounded to 12 decimals
+    ])
+    def test_range_whose_start_is_its_stop_is_that_value(self, spec, value):
+        from biphoton_cavity.cli import _parse_values
+
+        assert _parse_values(spec, "--values") == (value,)
 
     SPECS = {"sweep-coupling": ("--values=0.5:3:0.05", "--series=-4,-2,0,2,4"),
              "sweep-pump": ("--values=0.5:10:0.25", "--series=0.75,1,1.35,2"),

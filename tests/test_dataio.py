@@ -691,6 +691,22 @@ class TestAtomicWrites:
         assert (tmp_path / f"out.csv.{'0' * 16}.tmp").is_symlink()
         assert len(list(tmp_path.iterdir())) == 4
 
+    # "a", 84 three-byte euro signs and ".c" make 255 bytes: the cut falls inside a character
+    @pytest.mark.parametrize("name", ["a" * 235, "a" * 255, "a" + "\u20ac" * 84 + ".c"],
+                             ids=["ascii-235", "ascii-255", "utf8-255"])
+    def test_a_name_of_up_to_255_bytes_is_written(self, tmp_path, name):
+        listings = []
+
+        def pieces():
+            yield "x\n"
+            listings.append([p.name for p in tmp_path.iterdir()])
+
+        dataio.write_lines(tmp_path / name, pieces())
+        (tmp_name,) = listings[0]  # UTF-8, whole characters only, within 255 bytes
+        assert len(tmp_name.encode()) <= 255 and re.fullmatch(r"a.*\.[0-9a-f]{16}\.tmp", tmp_name)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_text() == "x\n"
+
 
 class TestStreaming:
     """jsiv1 export and ingest hold a bounded number of lines, never the whole file."""

@@ -8,7 +8,6 @@ from biphoton_cavity import (
     CavityModel,
     SweepPlan,
     entropy_of,
-    find_entropy_crossing,
     omega_from_wavelength,
     parse_config_text,
     run_sweep,
@@ -17,8 +16,7 @@ from biphoton_cavity import (
 from biphoton_cavity import pipeline, sweep
 from biphoton_cavity.config import CavityConfig
 from biphoton_cavity.pipeline import input_state_from_config
-from biphoton_cavity.sweep import SweepResult, SweepRow
-from conftest import traced_peak, transmitted_state
+from conftest import threshold_bracket, traced_peak, transmitted_state
 
 SMALL = """
 grid.points = 96
@@ -395,48 +393,15 @@ class TestCrossing:
     def test_crossing_found_in_real_sweep(self):
         plan = SweepPlan(small_config(), "coupling_ratio",
                          tuple(np.arange(0.5, 2.01, 0.25)), series_values=(0.0,))
-        result = run_sweep(plan)
-        crossing = find_entropy_crossing(result, 0.0)
-        assert crossing is not None
-        assert not crossing.boundary
-        assert 0.5 < crossing.value < 2.0
+        bracket = threshold_bracket(run_sweep(plan).rows)
+        assert bracket is not None and 0.5 < bracket[0] and bracket[1] < 2.0
 
-    def test_refining_moves_crossing_less_than_coarse_step(self):
-        coarse_vals = tuple(np.arange(0.5, 2.01, 0.25))
-        fine_vals = tuple(np.arange(0.5, 2.01, 0.125))
+    def test_refined_bracket_lies_inside_the_coarse_one(self):
         config = small_config()
-        coarse = find_entropy_crossing(run_sweep(
-            SweepPlan(config, "coupling_ratio", coarse_vals, series_values=(0.0,))), 0.0)
-        fine = find_entropy_crossing(run_sweep(
-            SweepPlan(config, "coupling_ratio", fine_vals, series_values=(0.0,))), 0.0)
-        assert abs(coarse.value - fine.value) < 0.25
-
-    def test_boundary_flag_when_all_above(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0), series_values=(0.0,))
-        rows = tuple(
-            SweepRow(series_value=0.0, sweep_value=v, entropy=1.0, delta_vs_input=0.5)
-            for v in (1.0, 2.0)
-        )
-        synthetic = SweepResult(plan=plan, rows=rows, input_entropy=0.5,
-                                empty_cavity_entropy=0.4)
-        crossing = find_entropy_crossing(synthetic, 0.0)
-        assert crossing.boundary and crossing.value == 1.0
-
-    def test_no_crossing_returns_none(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (1.0, 2.0), series_values=(0.0,))
-        rows = tuple(
-            SweepRow(series_value=0.0, sweep_value=v, entropy=0.1, delta_vs_input=-0.5)
-            for v in (1.0, 2.0)
-        )
-        synthetic = SweepResult(plan=plan, rows=rows, input_entropy=0.6,
-                                empty_cavity_entropy=0.4)
-        assert find_entropy_crossing(synthetic, 0.0) is None
-
-    def test_needs_two_rows(self):
-        plan = SweepPlan(small_config(), "coupling_ratio", (1.0,), series_values=(0.0,))
-        result = run_sweep(plan)
-        with pytest.raises(ValueError):
-            find_entropy_crossing(result, 0.0)
+        coarse, fine = (threshold_bracket(run_sweep(SweepPlan(
+            config, "coupling_ratio", tuple(np.arange(0.5, 2.01, step)), series_values=(0.0,))).rows)
+            for step in (0.25, 0.125))
+        assert coarse[0] <= fine[0] < fine[1] <= coarse[1]
 
 
 class TestRunWithModel:
