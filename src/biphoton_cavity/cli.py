@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dataio
 from .cavity import transfer_for
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, apply_overrides, format_value, load_config
 from .pipeline import grid_from_config, input_state_from_config
 from .schmidt import entropy_of
 from .state import apply_idler_transfer
@@ -98,9 +98,9 @@ def _cmd_entropy(args, config):
         state = input_state_from_config(config)
     entropy = entropy_of(state)
     if args.bits:
-        lines.append(f"entropy_bits = {entropy / math.log(2.0):.9g}")
+        lines.append(f"entropy_bits = {format_value(entropy / math.log(2.0))}")
     else:
-        lines.append(f"entropy_nats = {entropy:.9g}")
+        lines.append(f"entropy_nats = {format_value(entropy)}")
     return [(["\n".join(lines) + "\n"], args.out)]
 
 
@@ -123,7 +123,7 @@ def _cmd_ingest(args, config):
     ]
     if flags:
         lines.append(f"# flags: {';'.join(flags)}")
-    lines.append(f"entropy_nats = {entropy_of(state):.9g}")
+    lines.append(f"entropy_nats = {format_value(entropy_of(state))}")
     return [(["\n".join(lines) + "\n"], args.out)]
 
 

@@ -81,30 +81,26 @@ class SimConfig:
 
     def echo_lines(self) -> list[str]:
         """Deterministic `key = value` lines reproducing this config."""
-        return [f"{key} = {_format_value(value)}" for key, value in _flatten(self)]
+        return [f"{key} = {format_value(value)}" for key, value in _flatten(self)]
 
 
-# key -> (section attr, field attr, float, int or a tuple of the allowed words)
-_SCHEMA: dict[str, tuple[str, str, type | tuple[str, ...]]] = {
-    "grid.center_nm": ("grid", "center_nm", float),
-    "grid.span_nm": ("grid", "span_nm", float),
-    "grid.points": ("grid", "points", int),
-    "pump.center_down_nm": ("pump", "center_down_nm", float),
-    "pump.bandwidth_nm": ("pump", "bandwidth_nm", float),
-    "pump.bandwidth_convention": ("pump", "bandwidth_convention", PUMP_CONVENTIONS),
-    "phase_matching.kind": ("phase_matching", "kind", PM_KINDS),
-    "phase_matching.width_nm": ("phase_matching", "width_nm", float),
-    "filters.signal.center_nm": ("signal_filter", "center_nm", float),
-    "filters.signal.fwhm_nm": ("signal_filter", "fwhm_nm", float),
-    "filters.idler.center_nm": ("idler_filter", "center_nm", float),
-    "filters.idler.fwhm_nm": ("idler_filter", "fwhm_nm", float),
-    "cavity.kind": ("cavity", "kind", CAVITY_KINDS),
-    "cavity.center_nm": ("cavity", "center_nm", float),
-    "cavity.lifetime_fs": ("cavity", "lifetime_fs", float),
-    "cavity.coupling_ratio": ("cavity", "coupling_ratio", float),
-    "cavity.emitter_nm": ("cavity", "emitter_nm", float),
-    "cavity.emitter_damping_ratio": ("cavity", "emitter_damping_ratio", float),
-}
+def _schema() -> dict[str, tuple[str, str, type | tuple[str, ...]]]:
+    """key -> (section attr, field attr, float, int or the allowed words): a key is its
+    section's prefix and its field's name, and a field neither str nor int takes a float.
+    It reads each field's type as a class, so no section module postpones its annotations."""
+    prefixes = {"signal_filter": "filters.signal", "idler_filter": "filters.idler"}
+    words = {"pump.bandwidth_convention": PUMP_CONVENTIONS, "phase_matching.kind": PM_KINDS,
+             "cavity.kind": CAVITY_KINDS}
+    schema = {}
+    for section in dataclasses.fields(SimConfig)[:-1]:  # every field but applied_defaults
+        for item in dataclasses.fields(section.type):
+            key = f"{prefixes.get(section.name, section.name)}.{item.name}"
+            schema[key] = (section.name, item.name,
+                           words[key] if item.type is str else int if item.type is int else float)
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def section_keys(section: str) -> str:
@@ -213,7 +209,7 @@ def _flatten(config: SimConfig):
         yield key, value
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cavity import TransferCurve
-from .config import MAX_GRID_ARRAY_BYTES, SimConfig
+from .config import MAX_GRID_ARRAY_BYTES, SimConfig, format_value
 from .grid import FrequencyGrid, omega_from_wavelength, trapezoid_weights, wavelength_from_omega
 from .state import BiphotonAmplitude
 from .sweep import SweepResult
@@ -28,6 +28,9 @@ from .sweep import SweepResult
 JSI_FORMAT = "jsiv1"
 CURVE_FORMAT = "curvev1"
 SWEEP_FORMAT = "sweepv1"
+# The jsiv1 columns in export order.  Ingest requires all but re and im, which it reads as a pair.
+JSI_COLUMNS = ("signal_nm", "idler_nm", "re", "im", "intensity")
+_JSI_PAIR = JSI_COLUMNS[2:4]
 
 INTENSITY_ONLY_FLAG = "intensity-only lower-fidelity"
 
@@ -42,10 +45,6 @@ _SKIP_MARKS = "#\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # surrogateescape's code for a byte not UTF-8
 _MAX_ROWS = MAX_GRID_ARRAY_BYTES // 16  # data rows: the cells of the largest grid allowed
 _MAX_LINE_CHARS = 1 << 20  # at least _READ_CHARS, so only a read's first and last line can pass it
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def _header(format_name: str, config: SimConfig | None, columns: str, extra=()) -> str:
@@ -100,7 +99,7 @@ def render_jsi(state: BiphotonAmplitude, config: SimConfig | None = None) -> Ite
     # Imported on first use: commands that export no data never compile it.
     from ._blockfmt import csv_text, format_block
 
-    yield _header(JSI_FORMAT, config, "signal_nm,idler_nm,re,im,intensity")
+    yield _header(JSI_FORMAT, config, ",".join(JSI_COLUMNS))
     signal_nm = format_block(wavelength_from_omega(state.grid.signal_axis))
     idler_nm = format_block(wavelength_from_omega(state.grid.idler_axis))
     amplitude, n_idler = state.amplitude.ravel(), state.grid.n_idler
@@ -136,20 +135,21 @@ def render_sweep(result: SweepResult) -> list[str]:
     extra = [
         f"swept_parameter: {sweep_param}",
         f"series_parameter: {series_param}",
-        f"reference.input_entropy_nats: {_fmt(result.input_entropy)}",
-        f"reference.empty_cavity_entropy_nats: {_fmt(result.empty_cavity_entropy)}",
+        f"reference.input_entropy_nats: {format_value(result.input_entropy)}",
+        f"reference.empty_cavity_entropy_nats: {format_value(result.empty_cavity_entropy)}",
     ]
     pieces = [_header(SWEEP_FORMAT, plan.base_config, "series_param,series_value,sweep_param,"
                       "sweep_value,entropy_nats,delta_vs_input_nats,flags", extra)]
     for row in result.rows:
         pieces.append(
-            f"{series_param},{_fmt(row.series_value)},{sweep_param},{_fmt(row.sweep_value)},"
-            f"{_fmt(row.entropy)},{_fmt(row.delta_vs_input)},{';'.join(row.flags)}\n"
+            f"{series_param},{format_value(row.series_value)},{sweep_param},"
+            f"{format_value(row.sweep_value)},{format_value(row.entropy)},"
+            f"{format_value(row.delta_vs_input)},{';'.join(row.flags)}\n"
         )
     for ref in result.reference_rows:
         pieces.append(
-            f"reference,0,{sweep_param},{_fmt(ref.sweep_value)},"
-            f"{_fmt(ref.entropy)},0,reference:{ref.kind}\n"
+            f"reference,0,{sweep_param},{format_value(ref.sweep_value)},"
+            f"{format_value(ref.entropy)},0,reference:{ref.kind}\n"
         )
     return pieces
 
@@ -245,18 +245,17 @@ def _read_table(path):
     if not reads:
         raise ValueError(f"{path}: no data rows")
 
-    if not columns:
-        columns = (
-            ["signal_nm", "idler_nm", "re", "im", "intensity"]
-            if np.ravel(reads[0][1])[0] == 5
-            else ["signal_nm", "idler_nm", "intensity"]
-        )
+    if not columns:  # the export's columns, or, for any other width, all but the pair
+        full = np.ravel(reads[0][1])[0] == len(JSI_COLUMNS)
+        columns = [name for name in JSI_COLUMNS if full or name not in _JSI_PAIR]
     for k, name in enumerate(columns):
         if name in columns[:k]:
             raise ValueError(f"{path}: column {name!r} named twice")
-    for name in ("signal_nm", "idler_nm", "intensity"):
-        if name not in columns:
+    for name in JSI_COLUMNS:
+        if name not in columns and name not in _JSI_PAIR:
             raise ValueError(f"{path}: missing required column {name!r}")
+    if len(given := [name for name in _JSI_PAIR if name in columns]) == 1:
+        raise ValueError(f"{path}: column {given[0]!r} without its pair")
     idx = {name: columns.index(name) for name in columns}
     for numbers, width in reads:
         width = np.broadcast_to(width, (len(numbers),))
@@ -296,7 +295,7 @@ def _read_table(path):
         raise ValueError(f"{path}: data is not a complete row-major grid")
 
     amplitude = None
-    if "re" in idx and "im" in idx:
+    if "re" in idx:  # and so "im"
         amplitude = (data[:, idx["re"]] + 1j * data[:, idx["im"]]).reshape(n_signal, n_idler)
     return signal_axis, idler_axis, intensity_col.reshape(n_signal, n_idler), amplitude
 

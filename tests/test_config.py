@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from biphoton_cavity import ConfigError, load_config, parse_config_text
-from biphoton_cavity.config import (MAX_CONFIG_BYTES, MAX_GRID_ARRAY_BYTES, apply_overrides,
-                                    with_values)
+from biphoton_cavity.config import (_SCHEMA, MAX_CONFIG_BYTES, MAX_GRID_ARRAY_BYTES,
+                                    apply_overrides, with_values)
 from biphoton_cavity.grid import build_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 REFERENCE_TEXT = """
 grid.center_nm = 685
@@ -124,6 +126,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"cavity\.kind"):
             parse_config_text("cavity.kind = three_sided\n")
 
+    def test_readme_key_block_lists_the_schema_in_order(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Keys:\n\n```\n", 1)[1].split("```", 1)[0]
+        assert re.findall(r"[a-z_]+(?:\.[a-z_]+)+", block) == list(_SCHEMA)
+
 
 class TestEchoRoundTrip:
     def test_echo_reparses_to_same_config(self):
@@ -185,9 +192,10 @@ class TestLoadConfig:
             load_config("/dev/zero")
 
     def test_repo_reference_config_parses(self):
-        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.cfg")
+        config = load_config(ROOT / "configs" / "reference.cfg")
         assert config.pump.bandwidth_convention == "at_degeneracy"
         assert config.grid.points == 512
+        assert config == parse_config_text("")  # the file holds the built-in defaults
 
 
 class TestOverrides:

@@ -867,6 +867,19 @@ class TestIngestValidation:
         with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 columns, got 3"):
             ingest_measured_jsi(path)
 
+    @pytest.mark.parametrize("name", ["re", "im"])
+    def test_a_lone_re_or_im_column_is_refused(self, tmp_path, capsys, name):
+        path, cfg = tmp_path / "bad.csv", tmp_path / "run.cfg"
+        path.write_text(f"# columns: signal_nm,idler_nm,intensity,{name}\n"
+                        "700,700,1,1\n700,690,1,0\n690,700,1,0\n690,690,1,1\n")
+        cfg.write_text("grid.points = 16\n")
+        refusal = f"{path}: column '{name}' without its pair"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            ingest_measured_jsi(path)
+        assert main(["ingest", "--config", str(cfg), "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
+
     def test_non_numeric_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("700,700,abc\n")
